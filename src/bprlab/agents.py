@@ -289,8 +289,6 @@ def _maybe_probe(result: TrainResult, step: int, q: QModel, probe_batch,
 def train_bc(dataset: OfflineDataset, config: AgentConfig,
              encoder: EncoderModel | None = None) -> TrainResult:
     states, actions, _, _, _ = dataset.arrays()
-    if states.shape[0] == 0:
-        raise RejectedInputError("empty dataset")
     x_all = _encode_inputs(encoder, states, config.use_encoder)
     rng = np.random.default_rng(config.seed)
     policy = PolicyModel.build(x_all.shape[1], dataset.action_dim, config.hidden, rng)
@@ -435,15 +433,6 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
     return result
 
 
-def episode_start_states(dataset: OfflineDataset) -> np.ndarray:
-    _, _, _, _, d = dataset.arrays()
-    starts = np.zeros(dataset.n, dtype=bool)
-    starts[0] = True
-    starts[1:] = d[:-1]
-    s = dataset.arrays()[0]
-    return s[starts]
-
-
 def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
                          encoder: EncoderModel | None = None,
                          env: PointMassEnv | None = None,
@@ -520,8 +509,6 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
     so the learned values stay pessimistic at the greedy action instead of
     re-inflating through a hard max over penalized entries."""
     s, a, r, s2, d = tabular_indices(dataset)
-    if len(s) == 0:
-        raise RejectedInputError("empty dataset")
     rng = np.random.default_rng(config.seed)
     temp = config.cql_temp
     if temp <= 0.0:

@@ -5,7 +5,7 @@ counterexample audit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,12 +139,6 @@ class BoundReport:
         "Rad(Phi)": "unevaluated Rademacher complexity of the encoder class",
     })
 
-    def to_dict(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            out[k] = v
-        return out
-
 
 def verify_theorem2(mdp: TabularMDP, dataset: OfflineDataset, spibb_result,
                     behavior: TabularPolicy) -> BoundReport:
@@ -196,7 +190,9 @@ def run_counterexample_audit(reward_perturbation: float = 0.0, tol: float = 1e-9
     reward_perturbation is a test hook that corrupts one dataset reward."""
     mdp, dataset, collapse = build_counterexample()
     if reward_perturbation != 0.0:
-        dataset.transitions[3].reward += reward_perturbation
+        rewards = dataset.rewards.copy()
+        rewards[3] += reward_perturbation
+        dataset = replace(dataset, rewards=rewards)
         mdp.reward[1, 0] += reward_perturbation
 
     def check(name, got, want):

@@ -174,7 +174,7 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
         )
         if not np.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite pretrain loss at step {step}")
-        params = adam_update(adam, encoder, predictor, enc_grads, pred_grads, n_enc)
+        adam_update(adam, encoder, predictor, enc_grads, pred_grads, n_enc)
         trace[step] = loss
     encoder.freeze()
     return encoder, trace, predictor, n_dropped
@@ -185,7 +185,6 @@ def adam_update(adam, encoder, predictor, enc_grads, pred_grads, n_enc):
     new = numerics.adam_step(adam, params, enc_grads + pred_grads)
     encoder.net.set_parameters(new[:n_enc])
     predictor.net.set_parameters(new[n_enc:])
-    return new
 
 
 def dataset_hash(dataset: OfflineDataset) -> str:

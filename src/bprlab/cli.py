@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime divergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,16 +44,19 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _apply_config_file(args, parser):
-    """Values from --config fill in any flag still at its parser default."""
+    """Values from --config fill in any flag still at its subcommand's default."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         file_cfg = json.load(fh)
+    # the flags' defaults live on the subcommand's parser, not the top-level one
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command_parser = subparsers.choices[args.command]
     for key, value in file_cfg.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise RejectedInputError(f"unknown config field {key!r}")
-        if getattr(args, dest) == parser.get_default(dest):
+        if getattr(args, dest) == command_parser.get_default(dest):
             setattr(args, dest, value)
     return args
 
@@ -197,7 +201,7 @@ def _train_one_seed(args, dataset, seed, encoder, out):
                        delta_hat=result.j_hat_out - result.j_hat_behavior)
             if args.probe_bounds:
                 report = analysis.verify_theorem2(mdp, dataset, result, behavior)
-                row["bound_report"] = report.to_dict()
+                row["bound_report"] = dataclasses.asdict(report)
             agents.write_trace_csv([], trace_path)
         elif args.algo == "cql":
             result = agents.train_cql(dataset, config,
@@ -206,7 +210,7 @@ def _train_one_seed(args, dataset, seed, encoder, out):
             row.update(final_return_mean=j_out, final_return_std=0.0)
             if args.probe_bounds:
                 report = analysis.verify_theorem3(mdp, dataset, result, behavior)
-                row["bound_report"] = report.to_dict()
+                row["bound_report"] = dataclasses.asdict(report)
             agents.write_trace_csv(result.trace, trace_path)
         else:
             raise RejectedInputError(f"{args.algo} is not a gridworld algorithm")
@@ -216,14 +220,31 @@ def _train_one_seed(args, dataset, seed, encoder, out):
     return row
 
 
+def _resolve_gamma(args) -> float:
+    """The gridworld's discount belongs to its MDP; --gamma may only repeat it."""
+    if args.task != "gridworld":
+        return agents.AgentConfig.gamma if args.gamma is None else args.gamma
+    discount = envs.make_gridworld().discount
+    if args.gamma is not None and args.gamma != discount:
+        raise RejectedInputError(f"--gamma {args.gamma} disagrees with the gridworld's "
+                                 f"discount {discount}")
+    return discount
+
+
 def cmd_train(args) -> int:
     out = _output_dir(args)
+    args.gamma = _resolve_gamma(args)
+    if args.co_train and args.algo != "td3bc":
+        raise RejectedInputError("--co-train is only supported with --algo td3bc")
     dataset = envs.load_dataset(args.dataset)
-    encoder = bpr.load_encoder(args.encoder) if args.encoder else None
+    encoder = bpr.load_encoder(args.encoder, frozen=not args.co_train) if args.encoder else None
     seeds = [int(s) for s in str(args.seeds).split(",")]
     if not seeds:
         raise RejectedInputError("seeds must be non-empty")
-    rows = [_train_one_seed(args, dataset, seed, encoder, out) for seed in seeds]
+    # co-training updates the encoder in place, so each seed starts from its own copy
+    rows = [_train_one_seed(args, dataset, seed,
+                            encoder.copy() if args.co_train and encoder else encoder, out)
+            for seed in seeds]
     finals = [r["final_return_mean"] for r in rows]
     label = args.label or args.algo
     summary = {
@@ -405,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seeds", default="0")
     t.add_argument("--gradient-steps", type=int, default=5000)
     t.add_argument("--batch-size", type=int, default=256)
-    t.add_argument("--gamma", type=float, default=0.99)
+    t.add_argument("--gamma", type=float, default=None,
+                   help="discount (default 0.99; gridworld always uses its MDP's 0.95)")
     t.add_argument("--learning-rate", type=float, default=3e-4)
     t.add_argument("--hidden", type=int, nargs="+", default=[64, 64])
     t.add_argument("--n-wedge", type=float, default=10.0)

@@ -4,6 +4,7 @@ dataset generation, and the two-state state-collapse counterexample."""
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -70,33 +71,57 @@ class TabularPolicy:
         return cls(probs)
 
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
+_ROW_KEYS = ("s", "a", "r", "s2", "d")
+_HEADER_KEYS = ("state_dim", "action_dim", "n", "behavior_tag")
 
 
 @dataclass
 class OfflineDataset:
+    """n logged transitions stored as five read-only column arrays: states
+    (n, state_dim), actions (n, action_dim), rewards (n,), next_states
+    (n, state_dim) and dones (n,) bool. The columns are the dataset's own
+    copies; arrays() hands them out without copying, so they cannot be
+    written in place. Derive a changed dataset with dataclasses.replace."""
     state_dim: int
     action_dim: int
-    transitions: list[Transition]
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
     behavior_tag: str = ""
+
+    def __post_init__(self):
+        try:
+            self.state_dim = operator.index(self.state_dim)
+            self.action_dim = operator.index(self.action_dim)
+            self.states = np.array(self.states, dtype=np.float64)
+            self.actions = np.array(self.actions, dtype=np.float64)
+            self.rewards = np.array(self.rewards, dtype=np.float64)
+            self.next_states = np.array(self.next_states, dtype=np.float64)
+            self.dones = np.array(self.dones, dtype=bool)
+        except (TypeError, ValueError) as exc:
+            raise RejectedInputError(f"malformed dataset fields: {exc}") from None
+        if not isinstance(self.behavior_tag, str):
+            raise RejectedInputError("behavior_tag must be a string")
+        n = self.rewards.size
+        if n == 0:
+            raise RejectedInputError("dataset has no rows")
+        columns = (self.states, self.actions, self.rewards, self.next_states, self.dones)
+        shapes = [(n, self.state_dim), (n, self.action_dim), (n,), (n, self.state_dim), (n,)]
+        for key, col, shape in zip(_ROW_KEYS, columns, shapes):
+            if col.shape != shape or not np.all(np.isfinite(col)):
+                raise RejectedInputError(f"dataset column {key!r} must be finite with shape "
+                                         f"{shape}; got shape {col.shape}")
+            col.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.transitions)
+        return len(self.rewards)
 
     def arrays(self):
-        s = np.array([t.state for t in self.transitions], dtype=np.float64)
-        a = np.array([t.action for t in self.transitions], dtype=np.float64)
-        r = np.array([t.reward for t in self.transitions], dtype=np.float64)
-        s2 = np.array([t.next_state for t in self.transitions], dtype=np.float64)
-        d = np.array([t.done for t in self.transitions], dtype=bool)
-        return s, a, r, s2, d
+        """(states, actions, rewards, next_states, dones), shared and read-only."""
+        return self.states, self.actions, self.rewards, self.next_states, self.dones
 
 
 def atomic_write(path: str, data: str | bytes) -> None:
@@ -115,60 +140,45 @@ def atomic_write(path: str, data: str | bytes) -> None:
 
 
 def save_dataset(dataset: OfflineDataset, path: str) -> None:
-    """JSON-lines: header line, then one transition per line. json round-trips
-    float64 exactly (repr is shortest-round-trip)."""
-    lines = [
-        json.dumps(
-            {
-                "state_dim": dataset.state_dim,
-                "action_dim": dataset.action_dim,
-                "n": dataset.n,
-                "behavior_tag": dataset.behavior_tag,
-            }
-        )
-    ]
-    for t in dataset.transitions:
-        lines.append(
-            json.dumps(
-                {
-                    "s": list(t.state),
-                    "a": list(t.action),
-                    "r": float(t.reward),
-                    "s2": list(t.next_state),
-                    "d": int(t.done),
-                }
-            )
-        )
+    """JSON lines. The header line is
+    {"state_dim": int, "action_dim": int, "n": int, "behavior_tag": str}.
+    Each of the n lines after it is one transition,
+    {"s": [state_dim floats], "a": [action_dim floats], "r": float,
+     "s2": [state_dim floats], "d": 0 or 1}, with keys in that order. json
+    round-trips float64 exactly (repr is shortest-round-trip)."""
+    header = dict(zip(_HEADER_KEYS, (dataset.state_dim, dataset.action_dim,
+                                     dataset.n, dataset.behavior_tag)))
+    s, a, r, s2, d = dataset.arrays()
+    columns = (s.tolist(), a.tolist(), r.tolist(), s2.tolist(), d.astype(int).tolist())
+    lines = [json.dumps(header)] + [json.dumps(dict(zip(_ROW_KEYS, row))) for row in zip(*columns)]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str) -> OfflineDataset:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        transitions = []
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            transitions.append(
-                Transition(
-                    np.array(rec["s"], dtype=np.float64),
-                    np.array(rec["a"], dtype=np.float64),
-                    float(rec["r"]),
-                    np.array(rec["s2"], dtype=np.float64),
-                    bool(rec["d"]),
-                )
-            )
-    ds = OfflineDataset(header["state_dim"], header["action_dim"], transitions, header["behavior_tag"])
-    if ds.n != header["n"]:
-        raise RejectedInputError("dataset header n does not match transition count")
-    return ds
+    """Read a save_dataset file. Any malformed header, line or value raises
+    RejectedInputError."""
+    try:
+        with open(path) as fh:
+            header, *rows = [json.loads(line) for line in fh if line.strip()]
+        state_dim, action_dim, n, tag = (header[k] for k in _HEADER_KEYS)
+        columns = [np.array([row[k] for row in rows]) for k in _ROW_KEYS]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RejectedInputError(f"{path}: malformed dataset file: {exc!r}") from None
+    if len(rows) != n:
+        raise RejectedInputError(f"{path}: header n={n!r} but the file holds {len(rows)} rows")
+    if any(col.dtype.kind not in "iuf" for col in columns):
+        raise RejectedInputError(f"{path}: a transition holds a non-numeric value")
+    if not np.isin(columns[4], (0, 1)).all():
+        raise RejectedInputError(f"{path}: a done flag is not 0 or 1")
+    return OfflineDataset(state_dim, action_dim, *columns, tag)
 
 
-def one_hot(index: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[index] = 1.0
-    return v
+def _tabular_dataset(n_states: int, n_actions: int, s, a, r, s2, d,
+                     behavior_tag: str) -> OfflineDataset:
+    """A tabular dataset from integer state and action indices, one-hot encoded."""
+    eye_s, eye_a = np.eye(n_states), np.eye(n_actions)
+    return OfflineDataset(n_states, n_actions, eye_s.take(s, axis=0), eye_a.take(a, axis=0), r,
+                          eye_s.take(s2, axis=0), d, behavior_tag)
 
 
 def tabular_indices(dataset: OfflineDataset):
@@ -279,18 +289,15 @@ def build_counterexample() -> tuple[TabularMDP, OfflineDataset, np.ndarray]:
     terminal = np.array([False, False, True])
     mdp = TabularMDP(n_states, n_actions, t, r, rho, 1.0, 1.0, terminal)
 
-    def tr(s, a, rew, s2, done):
-        return Transition(one_hot(s, n_states), one_hot(a, n_actions), rew, one_hot(s2, n_states), done)
-
-    transitions = [
-        tr(0, 0, 0.0, 2, True),
-        tr(0, 0, 0.0, 2, True),
-        tr(0, 1, 0.0, 1, False),
-        tr(1, 0, 1.0, 2, True),
-        tr(0, 1, 0.0, 1, False),
-        tr(1, 1, 0.0, 2, True),
+    rows = [  # (s, a, r, s2, done)
+        (0, 0, 0.0, 2, True),
+        (0, 0, 0.0, 2, True),
+        (0, 1, 0.0, 1, False),
+        (1, 0, 1.0, 2, True),
+        (0, 1, 0.0, 1, False),
+        (1, 1, 0.0, 2, True),
     ]
-    dataset = OfflineDataset(n_states, n_actions, transitions, "counterexample-four-trajectories")
+    dataset = _tabular_dataset(n_states, n_actions, *zip(*rows), "counterexample-four-trajectories")
     collapse = np.array([0, 0, 1])  # both live states map to z; terminal kept apart
     return mdp, dataset, collapse
 
@@ -337,20 +344,8 @@ def empirical_mdp_from_dataset(dataset: OfflineDataset, n_states: int, n_actions
 def collapse_dataset(dataset: OfflineDataset, collapse: np.ndarray) -> OfflineDataset:
     """Re-encode a tabular dataset through a state-collapse map."""
     s, a, r, s2, d = tabular_indices(dataset)
-    n_collapsed = int(collapse.max()) + 1
-    n_actions = dataset.action_dim
-    transitions = []
-    for si, ai, ri, s2i, di in zip(s, a, r, s2, d):
-        transitions.append(
-            Transition(
-                one_hot(collapse[si], n_collapsed),
-                one_hot(ai, n_actions),
-                ri,
-                one_hot(collapse[s2i], n_collapsed),
-                bool(di),
-            )
-        )
-    return OfflineDataset(n_collapsed, n_actions, transitions, dataset.behavior_tag + "+collapsed")
+    return _tabular_dataset(int(collapse.max()) + 1, dataset.action_dim, collapse[s], a, r,
+                           collapse[s2], d, dataset.behavior_tag + "+collapsed")
 
 
 def evaluate_on_empirical_collapsed_model(dataset: OfflineDataset, collapse: np.ndarray,
@@ -391,21 +386,18 @@ def estimate_behavior_tabular(dataset: OfflineDataset, n_states: int, n_actions:
 def generate_tabular_dataset(mdp: TabularMDP, policy: TabularPolicy, n: int, seed: int,
                              max_episode_len: int = 200, behavior_tag: str = "tabular") -> OfflineDataset:
     rng = np.random.default_rng(seed)
-    transitions: list[Transition] = []
-    while len(transitions) < n:
+    rows = []
+    while len(rows) < n:
         s = rng.choice(mdp.n_states, p=mdp.initial_dist)
         for _ in range(max_episode_len):
             a = rng.choice(mdp.n_actions, p=policy.probs[s])
             s2 = rng.choice(mdp.n_states, p=mdp.transition[s, a])
             done = bool(mdp.terminal[s2])
-            transitions.append(
-                Transition(one_hot(s, mdp.n_states), one_hot(a, mdp.n_actions),
-                           float(mdp.reward[s, a]), one_hot(s2, mdp.n_states), done)
-            )
-            if done or len(transitions) >= n:
+            rows.append((s, a, mdp.reward[s, a], s2, done))
+            if done or len(rows) >= n:
                 break
             s = s2
-    return OfflineDataset(mdp.n_states, mdp.n_actions, transitions[:n], behavior_tag)
+    return _tabular_dataset(mdp.n_states, mdp.n_actions, *zip(*rows), behavior_tag)
 
 
 @dataclass
@@ -458,8 +450,8 @@ def generate_pointmass_dataset(env: PointMassEnv, behavior, n: int, seed: int,
     sampled per episode."""
     rng = np.random.default_rng(seed)
     mixture = isinstance(behavior, list)
-    transitions: list[Transition] = []
-    while len(transitions) < n:
+    rows = []
+    while len(rows) < n:
         if mixture:
             weights = np.array([w for w, _ in behavior])
             idx = rng.choice(len(behavior), p=weights / weights.sum())
@@ -471,11 +463,11 @@ def generate_pointmass_dataset(env: PointMassEnv, behavior, n: int, seed: int,
             a = act(s, rng)
             s2, r = env.step(s, a)
             done = step == env.max_steps - 1
-            transitions.append(Transition(s, np.asarray(a, dtype=np.float64), r, s2, done))
-            if len(transitions) >= n:
+            rows.append((s, a, r, s2, done))
+            if len(rows) >= n:
                 break
             s = s2
-    return OfflineDataset(env.state_dim, env.action_dim, transitions[:n], behavior_tag)
+    return OfflineDataset(env.state_dim, env.action_dim, *zip(*rows), behavior_tag)
 
 
 def generate_dataset(env_or_mdp, behavior, n: int, seed: int, behavior_tag: str = "") -> OfflineDataset:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,15 +132,15 @@ class TestUnnormalizedLoss:
 
 class TestFiltering:
     def test_drops_below_threshold(self):
-        t = [envs.Transition(np.zeros(2), np.array([a, 0.0]), 0.0, np.zeros(2), True)
-             for a in (1.0, 1e-9, 0.5)]
-        ds = envs.OfflineDataset(2, 2, t)
+        actions = np.array([[1.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
+        ds = envs.OfflineDataset(2, 2, np.zeros((3, 2)), actions, np.zeros(3),
+                                 np.zeros((3, 2)), np.ones(3, dtype=bool))
         s, a, dropped = bpr.filter_zero_norm_actions(ds, 1e-6)
         assert dropped == 1 and s.shape[0] == 2
 
     def test_all_dropped_raises(self):
-        t = [envs.Transition(np.zeros(2), np.zeros(2), 0.0, np.zeros(2), True)]
-        ds = envs.OfflineDataset(2, 2, t)
+        ds = envs.OfflineDataset(2, 2, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1),
+                                 np.zeros((1, 2)), np.ones(1, dtype=bool))
         with pytest.raises(UnusableDatasetError):
             bpr.pretrain(ds, bpr.PretrainConfig(steps=1, batch_size=4, repr_dim=2,
                                                 encoder_hidden=(4,), predictor_hidden=(4,)))
@@ -180,8 +182,9 @@ class TestPretrain:
         s = rng.normal(size=(1500, 4))
         a = s @ w.T
         keep = np.linalg.norm(a, axis=1) > 0.2
-        t = [envs.Transition(si, ai, 0.0, si, True) for si, ai in zip(s[keep], a[keep])]
-        ds = envs.OfflineDataset(4, 2, t)
+        n = int(keep.sum())
+        ds = envs.OfflineDataset(4, 2, s[keep], a[keep], np.zeros(n), s[keep],
+                                 np.ones(n, dtype=bool))
         cfg = bpr.PretrainConfig(steps=1500, batch_size=128, repr_dim=8,
                                  encoder_hidden=(32,), predictor_hidden=(32,),
                                  learning_rate=1e-3)
@@ -218,5 +221,5 @@ class TestEncoderArtifacts:
     def test_dataset_hash_sensitive_to_rewards(self):
         _, ds, _ = envs.build_counterexample()
         h1 = bpr.dataset_hash(ds)
-        ds.transitions[0].reward += 1.0
+        ds = dataclasses.replace(ds, rewards=ds.rewards + np.eye(ds.n)[0])
         assert bpr.dataset_hash(ds) != h1

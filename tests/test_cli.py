@@ -123,12 +123,102 @@ class TestTrain:
                     "--label", "cfgrun", "--out", "."]) == EXIT_OK
         summary = json.load(open("cfgrun-summary.json"))
         assert summary["seeds"] == [3]
+        assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl",
+                    "--algo", "bc", "--gradient-steps", "25", "--hidden", "8",
+                    "--batch-size", "16", "--seeds", "3", "--label", "flagrun",
+                    "--out", "."]) == EXIT_OK
+        flags = json.load(open("flagrun-summary.json"))
+        assert summary["per_seed"][0]["final_return_mean"] == flags["per_seed"][0]["final_return_mean"]
 
     def test_unknown_config_field_is_usage_error(self, workdir):
         self._dataset()
         json.dump({"not-a-flag": 1}, open("bad.json", "w"))
         assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl",
                     "--algo", "bc", "--config", "bad.json", "--out", "."]) == EXIT_USAGE
+
+
+class TestCoTrain:
+    ARGS = ["--task", "pointmass", "--dataset", "d.jsonl", "--algo", "td3bc",
+            "--encoder", "enc.ckpt", "--co-train", "--gradient-steps", "10",
+            "--batch-size", "16", "--hidden", "8", "--label", "co"]
+
+    def _encoder(self):
+        run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+        run(["pretrain", "--dataset", "d.jsonl", "--steps", "5", "--batch-size", "16",
+             "--repr-dim", "4", "--hidden", "8", "--name", "enc", "--out", "."])
+        return open("enc.ckpt", "rb").read()
+
+    def test_each_seed_co_trains_its_own_copy(self, workdir):
+        ckpt = self._encoder()
+        assert run(["train", *self.ARGS, "--seeds", "0,1", "--out", "both"]) == EXIT_OK
+        for seed in ("0", "1"):
+            assert run(["train", *self.ARGS, "--seeds", seed, "--out", f"s{seed}"]) == EXIT_OK
+        rows = json.load(open("both/co-summary.json"))["per_seed"]
+        assert rows[0] == json.load(open("s0/co-summary.json"))["per_seed"][0]
+        assert rows[1] == json.load(open("s1/co-summary.json"))["per_seed"][0]
+        assert open("enc.ckpt", "rb").read() == ckpt
+
+    def test_co_train_needs_td3bc(self, workdir):
+        self._encoder()
+        args = [a if a != "td3bc" else "cql" for a in self.ARGS]
+        assert run(["train", *args, "--out", "."]) == EXIT_USAGE
+
+
+class TestGridworldDiscount:
+    def _dataset(self):
+        run(["gen-data", "--task", "gridworld", "--behavior", "eps_greedy:0.3",
+             "--n", "2000", "--seed", "0", "--name", "g.jsonl", "--out", "."])
+
+    def test_spibb_uses_the_mdp_discount(self, workdir):
+        from bprlab import agents
+        self._dataset()
+        assert run(["train", "--task", "gridworld", "--dataset", "g.jsonl",
+                    "--algo", "spibb", "--label", "sp", "--out", "."]) == EXIT_OK
+        delta_hat = json.load(open("sp-summary.json"))["per_seed"][0]["delta_hat"]
+        cfg = agents.AgentConfig(algorithm="spibb", gamma=0.95)
+        want = agents.train_spibb_tabular(envs.load_dataset("g.jsonl"), 25, 4, cfg)
+        assert delta_hat == want.j_hat_out - want.j_hat_behavior
+        assert abs(delta_hat - 0.1070) < 5e-4
+
+    def test_disagreeing_gamma_is_usage_error(self, workdir):
+        self._dataset()
+        assert run(["train", "--task", "gridworld", "--dataset", "g.jsonl",
+                    "--algo", "spibb", "--gamma", "0.99", "--out", "."]) == EXIT_USAGE
+
+
+_HEADER = {"state_dim": 1, "action_dim": 1, "n": 1, "behavior_tag": ""}
+_ROW = {"s": [0.0], "a": [1.0], "r": 0.0, "s2": [0.0], "d": 1}
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("header, rows", [
+    (_without(_HEADER, "state_dim"), [_ROW]),
+    (_without(_HEADER, "action_dim"), [_ROW]),
+    (_without(_HEADER, "n"), [_ROW]),
+    (_without(_HEADER, "behavior_tag"), [_ROW]),
+    ("{not json", [_ROW]),
+    (_HEADER, ["{not json"]),
+    (_HEADER, [_without(_ROW, "r")]),
+    (_HEADER, [{**_ROW, "s": [0.0, 1.0]}]),
+    (_HEADER, [{**_ROW, "a": [1.0, 1.0]}]),
+    (_HEADER, [{**_ROW, "s2": []}]),
+    (_HEADER, [{**_ROW, "r": "one"}]),
+    (_HEADER, [{**_ROW, "s": [None]}]),
+    (_HEADER, [{**_ROW, "d": 2}]),
+    ({**_HEADER, "n": 2}, [_ROW]),
+    ({**_HEADER, "n": 2}, [_ROW, {**_ROW, "s": [[0.0]]}]),
+], ids=["no-state_dim", "no-action_dim", "no-n", "no-behavior_tag", "bad-header-json",
+        "bad-row-json", "row-missing-r", "wide-s", "wide-a", "narrow-s2", "string-r",
+        "null-s", "done-2", "n-mismatch", "ragged-s"])
+def test_malformed_dataset_is_usage_error(workdir, capsys, header, rows):
+    lines = [x if isinstance(x, str) else json.dumps(x) for x in (header, *rows)]
+    (workdir / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    assert run(["train", "--task", "pointmass", "--dataset", "bad.jsonl",
+                "--algo", "bc", "--out", "."]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
 
 
 class TestAudit:

@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bprlab import envs
+from bprlab import bpr, envs
 from bprlab.errors import (
     RejectedInputError,
     UndefinedModelError,
     UnsupportedDiscountError,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def iterative_policy_evaluation(mdp, policy, iters=20000):
@@ -158,12 +162,63 @@ class TestDatasetIO:
         with pytest.raises(RejectedInputError):
             envs.load_dataset(str(path))
 
+    # Written by the release that stored datasets as per-row objects; the
+    # digests are bpr.dataset_hash of the datasets as that release loaded them.
+    @pytest.mark.parametrize("name, digest", [
+        ("pointmass-mixture-20.jsonl",
+         "b02c8fd848f79382cf31aaf1ef949017e25c8f8ed3aba40b1f3d7d26f78c0ca8"),
+        ("gridworld-eps0.3-50.jsonl",
+         "5fdee79d68d944286e1bf501f0396fa3ecd43283ce6f1d64590e1318c7c5eb35"),
+    ])
+    def test_old_files_load_and_resave_byte_for_byte(self, tmp_path, name, digest):
+        original = DATA_DIR / name
+        ds = envs.load_dataset(str(original))
+        assert bpr.dataset_hash(ds) == digest
+        envs.save_dataset(ds, str(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == original.read_bytes()
+
     def test_atomic_write_replaces(self, tmp_path):
         path = str(tmp_path / "f.txt")
         envs.atomic_write(path, "one")
         envs.atomic_write(path, "two")
         assert open(path).read() == "two"
         assert [p for p in tmp_path.iterdir()] == [tmp_path / "f.txt"]
+
+
+class TestDatasetArrays:
+    def test_arrays_reject_in_place_writes(self):
+        _, ds, _ = envs.build_counterexample()
+        first = ds.arrays()
+        for col in first:
+            with pytest.raises(ValueError):
+                col[0] = 0
+        assert all(x is y for x, y in zip(first, ds.arrays()))  # shared, not copied
+
+    def test_caller_arrays_are_copied(self):
+        s = np.zeros((2, 1))
+        ds = envs.OfflineDataset(1, 1, s, np.ones((2, 1)), np.zeros(2), s, np.zeros(2, bool))
+        s[0, 0] = 5.0
+        assert ds.states[0, 0] == 0.0 and s.flags.writeable
+
+    @pytest.mark.parametrize("field, value", [
+        ("states", np.zeros((3, 3))),
+        ("actions", np.zeros(3)),
+        ("rewards", np.zeros(2)),
+        ("next_states", np.zeros((3, 1))),
+        ("dones", np.zeros((3, 1), bool)),
+        ("rewards", np.array([0.0, np.nan, 0.0])),
+    ])
+    def test_bad_column_rejected(self, field, value):
+        cols = dict(states=np.zeros((3, 2)), actions=np.zeros((3, 1)), rewards=np.zeros(3),
+                    next_states=np.zeros((3, 2)), dones=np.zeros(3, bool))
+        cols[field] = value
+        with pytest.raises(RejectedInputError):
+            envs.OfflineDataset(2, 1, **cols)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(RejectedInputError):
+            envs.OfflineDataset(1, 1, np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
+                                np.zeros((0, 1)), np.zeros(0, bool))
 
 
 class TestEmpiricalModel:
@@ -197,8 +252,9 @@ class TestEmpiricalModel:
 
     def test_policy_mass_on_unseen_action_rejected(self):
         _, dataset, _ = envs.build_counterexample()
-        keep = [t for t in dataset.transitions if t.action[1] == 0]  # drop all a1
-        pruned = envs.OfflineDataset(3, 2, keep)
+        s, a, r, s2, d = dataset.arrays()
+        keep = a[:, 1] == 0  # drop all a1
+        pruned = envs.OfflineDataset(3, 2, s[keep], a[keep], r[keep], s2[keep], d[keep])
         collapse = np.array([0, 0, 1])
         with pytest.raises(UndefinedModelError):
             envs.evaluate_on_empirical_collapsed_model(pruned, collapse, np.array([0.0, 1.0]))
