@@ -48,17 +48,37 @@ def _apply_config_file(args, parser):
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
-        file_cfg = json.load(fh)
+        try:
+            file_cfg = json.load(fh)
+        except ValueError as exc:
+            raise RejectedInputError(f"config file {args.config} is not JSON: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise RejectedInputError("a config file holds one JSON object")
     # the flags' defaults live on the subcommand's parser, not the top-level one
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command_parser = subparsers.choices[args.command]
+    actions = {a.dest: a for a in command_parser._actions if hasattr(args, a.dest)}
     for key, value in file_cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions:
             raise RejectedInputError(f"unknown config field {key!r}")
+        _check_config_value(actions[dest], key, value)
         if getattr(args, dest) == command_parser.get_default(dest):
             setattr(args, dest, value)
     return args
+
+
+def _check_config_value(action, key, value) -> None:
+    """A config value must have the JSON type of the flag it stands for."""
+    if action.nargs == 0:
+        kinds = (bool,)
+    else:
+        kinds = {int: (int,), float: (int, float)}.get(action.type, (str,))
+    items = value if isinstance(value, list) else [value]
+    fits = (isinstance(value, list) == (action.nargs == "+") and len(items) > 0
+            and all(type(v) in kinds for v in items))
+    if not fits and not (value is None and action.default is None):
+        raise RejectedInputError(f"config field {key!r} has the wrong type: {value!r}")
 
 
 # ---------------------------------------------------------------- behaviors
@@ -113,10 +133,8 @@ def cmd_gen_data(args) -> int:
         policy = _gridworld_behavior(mdp, args.behavior)
         dataset = envs.generate_dataset(mdp, policy, args.n, args.seed,
                                         behavior_tag=f"gridworld:{args.behavior}")
-    elif args.task == "counterexample":
-        _, dataset, _ = envs.build_counterexample()
     else:
-        raise RejectedInputError(f"unknown task {args.task!r}")
+        _, dataset, _ = envs.build_counterexample()
     envs.save_dataset(dataset, path)
     ep = _episode_returns(dataset)
     print(f"wrote {path}: n={dataset.n} behavior={dataset.behavior_tag!r} "
@@ -192,7 +210,7 @@ def _train_one_seed(args, dataset, seed, encoder, out):
             agents.write_trace_csv(result.trace, trace_path)
     elif args.task == "gridworld":
         mdp = envs.make_gridworld()
-        behavior_spec = dataset.behavior_tag.split(":", 1)[1]
+        behavior_spec = dataset.behavior_tag.partition(":")[2]  # "" for a tag without ':'
         behavior = _gridworld_behavior(mdp, behavior_spec)
         if args.algo == "spibb":
             result = agents.train_spibb_tabular(dataset, mdp.n_states, mdp.n_actions, config)
@@ -214,33 +232,40 @@ def _train_one_seed(args, dataset, seed, encoder, out):
             agents.write_trace_csv(result.trace, trace_path)
         else:
             raise RejectedInputError(f"{args.algo} is not a gridworld algorithm")
-    else:
-        raise RejectedInputError(f"training on task {args.task!r} is not supported")
     row["trace_file"] = os.path.basename(trace_path)
     return row
 
 
-def _resolve_gamma(args) -> float:
-    """The gridworld's discount belongs to its MDP; --gamma may only repeat it."""
-    if args.task != "gridworld":
-        return agents.AgentConfig.gamma if args.gamma is None else args.gamma
-    discount = envs.make_gridworld().discount
-    if args.gamma is not None and args.gamma != discount:
-        raise RejectedInputError(f"--gamma {args.gamma} disagrees with the gridworld's "
-                                 f"discount {discount}")
-    return discount
+def _fit_task(args, dataset: envs.OfflineDataset) -> None:
+    """Set the discount and check the dataset's dimensions against the task, before
+    any gradient step. The gridworld's discount belongs to its MDP; --gamma may only
+    repeat it."""
+    if args.task == "pointmass":
+        args.gamma = agents.AgentConfig.gamma if args.gamma is None else args.gamma
+        dims = (envs.PointMassEnv.state_dim, envs.PointMassEnv.action_dim)
+    else:
+        mdp = envs.make_gridworld()
+        if args.gamma is not None and args.gamma != mdp.discount:
+            raise RejectedInputError(f"--gamma {args.gamma} disagrees with the gridworld's "
+                                     f"discount {mdp.discount}")
+        args.gamma = mdp.discount
+        dims = (mdp.n_states, mdp.n_actions)
+    if (dataset.state_dim, dataset.action_dim) != dims:
+        raise RejectedInputError(f"{args.task} needs state_dim/action_dim {dims[0]}/{dims[1]}, "
+                                 f"the dataset has {dataset.state_dim}/{dataset.action_dim}")
 
 
 def cmd_train(args) -> int:
     out = _output_dir(args)
-    args.gamma = _resolve_gamma(args)
     if args.co_train and args.algo != "td3bc":
         raise RejectedInputError("--co-train is only supported with --algo td3bc")
     dataset = envs.load_dataset(args.dataset)
+    _fit_task(args, dataset)
     encoder = bpr.load_encoder(args.encoder, frozen=not args.co_train) if args.encoder else None
-    seeds = [int(s) for s in str(args.seeds).split(",")]
-    if not seeds:
-        raise RejectedInputError("seeds must be non-empty")
+    seeds = args.seeds.split(",")
+    if not all(s.strip().isdecimal() for s in seeds):
+        raise RejectedInputError(f"--seeds takes comma-separated seeds >= 0, not {args.seeds!r}")
+    seeds = [int(s) for s in seeds]
     # co-training updates the encoder in place, so each seed starts from its own copy
     rows = [_train_one_seed(args, dataset, seed,
                             encoder.copy() if args.co_train and encoder else encoder, out)
@@ -361,8 +386,6 @@ def _plot_data_from_traces(summary) -> list[dict]:
 def cmd_report(args) -> int:
     out = _output_dir(args)
     summaries = _load_summaries(args.summaries)
-    if not summaries:
-        raise RejectedInputError("need at least one summary")
     tasks = {s["task"] for s in summaries}
     if len(tasks) > 1:
         raise RejectedInputError(f"summaries mix tasks {sorted(tasks)}; refusing to compare")

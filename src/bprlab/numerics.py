@@ -1,5 +1,5 @@
 """Small deterministic MLP kernel: forward/backward, Adam, l2 normalization,
-and a cyclic-Jacobi symmetric eigensolver.
+symmetric eigenvalues and the binary checkpoint format.
 
 Everything is float64 and single-threaded. Shapes follow the numpy row
 convention: a batch is (n, dim), a weight is (out_dim, in_dim).
@@ -239,45 +239,16 @@ def adam_step(
     return out
 
 
-def symmetric_eigenvalues(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, descending."""
-    a = np.array(m, dtype=np.float64)
+def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix (LAPACK via eigvalsh), descending."""
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise RejectedInputError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise RejectedInputError("non-finite matrix entries")
     if np.max(np.abs(a - a.T)) > 1e-10:
         raise RejectedInputError("matrix is not symmetric within 1e-10")
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    for _ in range(max_sweeps):
-        off2 = np.sum(a * a) - np.sum(np.diag(a) ** 2)
-        if off2 < tol * tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                with np.errstate(over="ignore"):  # inf theta -> identity rotation
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:  # theta**2 would overflow
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    vals = np.sort(np.diag(a))[::-1]
-    return vals.copy()
+    return np.linalg.eigvalsh(a)[::-1]
 
 
 def save_checkpoint(model: MlpModel, path: str) -> None:
@@ -306,15 +277,20 @@ def load_checkpoint(path: str) -> MlpModel:
 def model_from_bytes(data: bytes) -> MlpModel:
     if data[:8] != CHECKPOINT_MAGIC:
         raise RejectedInputError("bad checkpoint magic")
-    (n_layers,) = struct.unpack_from("<I", data, 8)
-    offset = 12
-    layers = []
-    for _ in range(n_layers):
-        rows, cols, tag = struct.unpack_from("<IIB", data, offset)
-        offset += 9
-        w = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
-        offset += rows * cols * 8
-        b = np.frombuffer(data, dtype="<f8", count=rows, offset=offset)
-        offset += rows * 8
-        layers.append(Layer(w.copy(), b.copy(), _TAG_ACT[tag]))
+    try:
+        (n_layers,) = struct.unpack_from("<I", data, 8)
+        offset = 12
+        layers = []
+        for _ in range(n_layers):
+            rows, cols, tag = struct.unpack_from("<IIB", data, offset)
+            offset += 9
+            w = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
+            offset += rows * cols * 8
+            b = np.frombuffer(data, dtype="<f8", count=rows, offset=offset)
+            offset += rows * 8
+            layers.append(Layer(w.copy(), b.copy(), _TAG_ACT.get(tag, f"tag {tag}")))
+    except (struct.error, ValueError) as exc:  # the bytes end before the layers do
+        raise RejectedInputError(f"truncated checkpoint: {exc}") from None
+    if offset != len(data):
+        raise RejectedInputError(f"{len(data) - offset} trailing bytes after the checkpoint")
     return MlpModel(layers)

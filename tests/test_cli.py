@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bprlab import cli, envs
+from bprlab import agents, cli, envs, numerics
 from bprlab.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE
 
 
@@ -218,6 +220,70 @@ def test_malformed_dataset_is_usage_error(workdir, capsys, header, rows):
     (workdir / "bad.jsonl").write_text("\n".join(lines) + "\n")
     assert run(["train", "--task", "pointmass", "--dataset", "bad.jsonl",
                 "--algo", "bc", "--out", "."]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_TRAIN_BC = ["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "bc",
+             "--gradient-steps", "5", "--batch-size", "16", "--hidden", "8", "--out", "."]
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--seeds", "0,x"], None),
+    (["--seeds", ""], None),
+    (["--seeds", "-1"], None),
+    ([], "{bad"),
+    ([], "[1, 2]"),
+    ([], json.dumps({"hidden": 64})),
+    ([], json.dumps({"hidden": []})),
+    ([], json.dumps({"gradient-steps": "5"})),
+    ([], json.dumps({"learning-rate": True})),
+    ([], json.dumps({"co-train": 1})),
+    ([], json.dumps({"seeds": 0})),
+    ([], json.dumps({"func": "cmd_audit"})),
+    ([], json.dumps({"help": True})),
+], ids=["seeds-not-int", "seeds-empty", "seeds-negative", "config-not-json",
+        "config-not-object", "hidden-int", "hidden-empty", "steps-string", "lr-bool",
+        "co-train-int", "seeds-int", "not-a-flag-func", "not-a-flag-help"])
+def test_bad_flag_or_config_value_is_usage_error(workdir, capsys, flags, config):
+    run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+    if config is not None:
+        (workdir / "cfg.json").write_text(config)
+        flags = [*flags, "--config", "cfg.json"]
+    capsys.readouterr()
+    assert run([*_TRAIN_BC, *flags]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_corrupt_encoder_checkpoint_is_usage_error(workdir, capsys):
+    run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+    net = numerics.init_mlp([4, 8, 4], ["relu", "identity"], np.random.default_rng(0))
+    (workdir / "bad.ckpt").write_bytes(numerics.checkpoint_bytes(net)[:-5])
+    capsys.readouterr()
+    assert run([*_TRAIN_BC, "--encoder", "bad.ckpt"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("task, algo, name, tag", [
+    ("pointmass", "td3bc", "gridworld-eps0.3-50.jsonl", None),
+    ("gridworld", "spibb", "pointmass-mixture-20.jsonl", None),
+    ("gridworld", "spibb", "gridworld-eps0.3-50.jsonl", "gridworld"),
+], ids=["gridworld-data-on-pointmass", "pointmass-data-on-gridworld", "tag-without-colon"])
+def test_dataset_that_does_not_fit_the_task_is_rejected_before_training(
+        workdir, capsys, monkeypatch, task, algo, name, tag):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on a dataset that does not fit the task")
+
+    for trainer in ("train_td3bc", "train_cql", "train_spibb_tabular"):
+        monkeypatch.setattr(agents, trainer, no_training)
+    dataset = envs.load_dataset(str(DATA_DIR / name))
+    if tag is not None:
+        dataset = dataclasses.replace(dataset, behavior_tag=tag)
+    envs.save_dataset(dataset, "d.jsonl")
+    assert run(["train", "--task", task, "--dataset", "d.jsonl", "--algo", algo,
+                "--out", "."]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
 
 

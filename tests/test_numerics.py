@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bprlab import numerics
 from bprlab.errors import (
@@ -176,7 +178,7 @@ class TestJacobiEigenvalues:
             m = rng.normal(size=(d, d))
             m = 0.5 * (m + m.T)
             mine = numerics.symmetric_eigenvalues(m)
-            ref = np.sort(np.linalg.eigvalsh(m))[::-1]
+            ref = np.sort(np.linalg.eigvals(m).real)[::-1]
             np.testing.assert_allclose(mine, ref, atol=1e-10)
 
     def test_trace_and_frobenius_preserved(self):
@@ -209,7 +211,7 @@ class TestJacobiEigenvalues:
         m = np.diag([1e12, 1e-12, 1.0]) + 1e-14
         m = 0.5 * (m + m.T)
         eigs = numerics.symmetric_eigenvalues(m)
-        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
+        ref = np.sort(np.linalg.eigvals(m).real)[::-1]
         np.testing.assert_allclose(eigs, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -241,6 +243,33 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self):
         with pytest.raises(RejectedInputError):
             numerics.model_from_bytes(b"NOTMAGIC" + b"\x00" * 16)
+
+    # byte 20 is the first layer's activation tag: magic (8), layer count (4),
+    # rows (4), cols (4)
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:-3],
+        lambda blob: blob[:10],
+        lambda blob: blob[:20] + b"\x07" + blob[21:],
+        lambda blob: blob + b"\x00",
+    ], ids=["truncated-body", "short-header", "unknown-activation-tag", "trailing-bytes"])
+    def test_corrupt_checkpoint_rejected(self, corrupt):
+        blob = numerics.checkpoint_bytes(random_model(np.random.default_rng(3)))
+        with pytest.raises(RejectedInputError):
+            numerics.model_from_bytes(corrupt(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 50), truncate=st.booleans(), where=st.floats(0.0, 1.0),
+           byte=st.integers(0, 255))
+    def test_truncated_or_mutated_checkpoint_loads_exactly_or_is_rejected(
+            self, seed, truncate, where, byte):
+        blob = numerics.checkpoint_bytes(random_model(np.random.default_rng(seed)))
+        i = min(int(where * len(blob)), len(blob) - 1)
+        mutated = blob[:i] if truncate else blob[:i] + bytes([byte]) + blob[i + 1:]
+        try:
+            model = numerics.model_from_bytes(mutated)
+        except RejectedInputError:
+            return
+        assert numerics.checkpoint_bytes(model) == mutated
 
 
 class TestModel:
