@@ -128,36 +128,43 @@ def bc_loss_and_grads(policy: PolicyModel, x: np.ndarray, a: np.ndarray):
     n = x.shape[0]
     loss = float(np.sum(diff * diff, axis=1).mean())
     gy = 2.0 * diff / n * policy.action_bound
-    grads, _ = numerics.backward(policy.net, cache, gy)
+    grads, _ = numerics.backward(policy.net, cache, gy, input_grad=False)
     return loss, grads
 
 
-def cql_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray):
-    """-mean Q(x, pi(x)); critic held fixed."""
-    y, pcache = numerics.forward(policy.net, x)
+def cql_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
+                             policy_forward=None):
+    """-mean Q(x, pi(x)); critic held fixed. policy_forward is the (output,
+    cache) of the policy on x, when the caller has already run it."""
+    y, pcache = numerics.forward(policy.net, x) if policy_forward is None else policy_forward
     y = policy.action_bound * y
     n = x.shape[0]
     qv, qcache = numerics.forward(q.net, np.concatenate([x, y], axis=1))
     loss = float(-qv[:, 0].mean())
     _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -1.0 / n))
     gy = gqin[:, x.shape[1]:]
-    grads, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound)
+    grads, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
     return loss, grads
 
 
 def td3bc_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
-                               a: np.ndarray, lam: float):
-    """-lam * mean Q(x, pi(x)) + mean ||pi(x) - a||^2; lam is a constant."""
+                               a: np.ndarray, lam: float | None = None,
+                               alpha: float = AgentConfig.td3bc_alpha):
+    """-lam * mean Q(x, pi(x)) + mean ||pi(x) - a||^2; lam is a constant.
+    lam=None takes TD3+BC's lam = alpha / mean |Q(x, pi(x))| from this same
+    forward pass."""
     y, pcache = numerics.forward(policy.net, x)
     y = policy.action_bound * y
     n = x.shape[0]
     qin = np.concatenate([x, y], axis=1)
     qv, qcache = numerics.forward(q.net, qin)
+    if lam is None:
+        lam = alpha / max(np.mean(np.abs(qv[:, 0])), 1e-8)
     diff = y - a
     loss = float(-lam * qv[:, 0].mean() + np.sum(diff * diff, axis=1).mean())
     _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -lam / n))
     gy = gqin[:, x.shape[1]:] + 2.0 * diff / n
-    grads, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound)
+    grads, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
     return loss, grads
 
 
@@ -167,7 +174,7 @@ def critic_td_loss_and_grads(q: QModel, x: np.ndarray, a: np.ndarray,
     td = qv[:, 0] - target
     n = x.shape[0]
     loss = float(np.mean(td * td))
-    grads, _ = numerics.backward(q.net, cache, (2.0 * td / n)[:, None])
+    grads, _ = numerics.backward(q.net, cache, (2.0 * td / n)[:, None], input_grad=False)
     return loss, grads
 
 
@@ -193,8 +200,8 @@ def cql_critic_loss_and_grads(q: QModel, x: np.ndarray, a_data: np.ndarray,
     g_qd = g_qd - alpha / n
     g_qc = alpha * soft / n
 
-    grads_d, _ = numerics.backward(q.net, dcache, g_qd[:, None])
-    grads_c, _ = numerics.backward(q.net, ccache, g_qc.reshape(n * m, 1))
+    grads_d, _ = numerics.backward(q.net, dcache, g_qd[:, None], input_grad=False)
+    grads_c, _ = numerics.backward(q.net, ccache, g_qc.reshape(n * m, 1), input_grad=False)
     grads = [gd + gc for gd, gc in zip(grads_d, grads_c)]
     return loss, grads
 
@@ -202,11 +209,12 @@ def cql_critic_loss_and_grads(q: QModel, x: np.ndarray, a_data: np.ndarray,
 # ---------------------------------------------------------------- helpers
 
 
-def _soft_update(target: numerics.MlpModel, source: numerics.MlpModel, tau: float):
-    target.set_parameters([
-        (1.0 - tau) * tp + tau * sp
-        for tp, sp in zip(target.parameters(), source.parameters())
-    ])
+def _soft_update(target: np.ndarray, source: np.ndarray, tau: float):
+    """target <- (1 - tau) * target + tau * source, in place on a parameter buffer."""
+    if not target.flags.writeable:
+        raise ContractViolationError("parameters are read-only: the model is frozen")
+    target *= 1.0 - tau
+    target += tau * source
 
 
 def _check_finite(loss: float, step: int, what: str):
@@ -274,13 +282,38 @@ def evaluate_return_tabular(mdp: TabularMDP, policy: TabularPolicy, episodes: in
     return float(returns.mean()), float(returns.std()), returns
 
 
-def _maybe_probe(result: TrainResult, step: int, q: QModel, probe_batch,
-                 encoder, use_encoder):
-    if probe_batch is None:
-        return
-    ps, pa = probe_batch
-    x = _encode_inputs(encoder, ps, use_encoder)
-    result.psi_trace.append((step, extract_features(q, x, pa)))
+def _train_loop(config: AgentConfig, result: TrainResult, env: PointMassEnv | None,
+                probe_batch, probe_every: int, step_fn) -> TrainResult:
+    """Run step_fn(step) -> (critic loss, actor loss) for each gradient step, with
+    the bookkeeping the continuous trainers share: effective-dimension probes of
+    the first critic, the eval trace, and the check that a frozen encoder did not
+    change."""
+    encoder, q = result.encoder, result.critics[0]
+    frozen_hash = encoder.param_hash() if (encoder is not None and encoder.frozen) else None
+
+    def probe(step):
+        if probe_batch is not None:
+            ps, pa = probe_batch
+            x = _encode_inputs(encoder, ps, config.use_encoder)
+            result.psi_trace.append((step, extract_features(q, x, pa)))
+
+    probe(0)
+    for step in range(config.gradient_steps):
+        closs, aloss = step_fn(step)
+        done_step = step + 1
+        if probe_every and done_step % probe_every == 0:
+            probe(done_step)
+        if config.eval_every and done_step % config.eval_every == 0 and env is not None:
+            mean, std, _ = evaluate_return(
+                _rollout_policy(result.policy, encoder, config.use_encoder),
+                env, config.eval_episodes, seed=config.seed * 100003 + done_step)
+            result.trace.append({"step": done_step, "critic_loss": closs,
+                                 "actor_loss": aloss,
+                                 "eval_return_mean": mean, "eval_return_std": std})
+
+    if frozen_hash is not None and encoder.param_hash() != frozen_hash:
+        raise ContractViolationError("frozen encoder parameters changed during training")
+    return result
 
 
 # ---------------------------------------------------------------- trainers
@@ -292,13 +325,13 @@ def train_bc(dataset: OfflineDataset, config: AgentConfig,
     x_all = _encode_inputs(encoder, states, config.use_encoder)
     rng = np.random.default_rng(config.seed)
     policy = PolicyModel.build(x_all.shape[1], dataset.action_dim, config.hidden, rng)
-    adam = numerics.AdamState.for_params(policy.net.parameters(), config.learning_rate)
+    adam = numerics.AdamState.for_params([policy.net.flat], config.learning_rate)
     result = TrainResult(policy, (), encoder)
     for step in range(config.gradient_steps):
         idx = rng.integers(0, x_all.shape[0], size=config.batch_size)
         loss, grads = bc_loss_and_grads(policy, x_all[idx], actions[idx])
         _check_finite(loss, step, "bc")
-        policy.net.set_parameters(numerics.adam_step(adam, policy.net.parameters(), grads))
+        numerics.adam_step(adam, [policy.net.flat], [np.concatenate(grads, axis=None)])
         if config.eval_every and step % config.eval_every == 0:
             result.trace.append({"step": step, "actor_loss": loss})
     return result
@@ -318,7 +351,6 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
             encoder = build_encoder(dataset.state_dim, config.repr_dim, config.hidden, rng)
         if encoder.frozen:
             raise ContractViolationError("co-training requires an unfrozen encoder")
-    frozen_hash = encoder.param_hash() if (encoder is not None and encoder.frozen) else None
 
     if config.use_encoder and not co_train:
         x_all = encoder.encode(states)
@@ -334,27 +366,27 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
     policy_t = PolicyModel(policy.net.copy())
     q1_t = QModel(q1.net.copy())
     q2_t = QModel(q2.net.copy())
+    # the twin critics share one buffer, and so do their targets
+    q_flat = numerics.share_buffer([q1.net, q2.net])
+    q_t_flat = numerics.share_buffer([q1_t.net, q2_t.net])
 
-    adam_pi = numerics.AdamState.for_params(policy.net.parameters(), config.learning_rate)
-    adam_q = numerics.AdamState.for_params(
-        q1.net.parameters() + q2.net.parameters(), config.learning_rate)
+    adam_pi = numerics.AdamState.for_params([policy.net.flat], config.learning_rate)
+    adam_q = numerics.AdamState.for_params([q_flat], config.learning_rate)
     enc_lr = config.co_train_encoder_lr if config.co_train_encoder_lr is not None \
         else config.learning_rate
-    adam_enc = (numerics.AdamState.for_params(encoder.net.parameters(), enc_lr)
+    adam_enc = (numerics.AdamState.for_params([encoder.net.flat], enc_lr)
                 if co_train else None)
 
     predictor = None
     adam_pred = None
     if co_train and config.co_train_bpr_weight > 0.0:
         predictor = PredictorModel.build(encoder.repr_dim, adim, config.hidden, rng)
-        adam_pred = numerics.AdamState.for_params(predictor.net.parameters(),
-                                                  config.learning_rate)
-
-    result = TrainResult(policy, (q1, q2), encoder)
-    _maybe_probe(result, 0, q1, probe_batch, encoder, config.use_encoder)
+        adam_pred = numerics.AdamState.for_params([predictor.net.flat], config.learning_rate)
 
     last_actor_loss = float("nan")
-    for step in range(config.gradient_steps):
+
+    def step_fn(step):
+        nonlocal last_actor_loss
         idx = rng.integers(0, states.shape[0], size=config.batch_size)
         if co_train:
             xb, enc_cache = numerics.forward(encoder.net, states[idx])
@@ -372,20 +404,19 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
         # critic update; in co-train mode the critic gradient also reaches the encoder
         qin = np.concatenate([xb, ab], axis=1)
         closs = 0.0
-        g_x = np.zeros_like(xb)
+        g_x = np.zeros_like(xb) if co_train else None
         q_grads = []
         for qm in (q1, q2):
             qv, cache = numerics.forward(qm.net, qin)
             td = qv[:, 0] - target
             closs += float(np.mean(td * td))
-            grads, gin = numerics.backward(qm.net, cache, (2.0 * td / len(idx))[:, None])
+            grads, gin = numerics.backward(qm.net, cache, (2.0 * td / len(idx))[:, None],
+                                           input_grad=co_train)
             q_grads.extend(grads)
-            g_x += gin[:, : xb.shape[1]]
+            if co_train:
+                g_x += gin[:, : xb.shape[1]]
         _check_finite(closs, step, "critic")
-        new_q = numerics.adam_step(adam_q, q1.net.parameters() + q2.net.parameters(), q_grads)
-        nq1 = len(q1.net.parameters())
-        q1.net.set_parameters(new_q[:nq1])
-        q2.net.set_parameters(new_q[nq1:])
+        numerics.adam_step(adam_q, [q_flat], [np.concatenate(q_grads, axis=None)])
 
         if co_train:
             g_rep = g_x
@@ -397,40 +428,24 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
                 gy_ok[ok] = gy_sub
                 pgrads_pred, gz = numerics.backward(predictor.net, pcache, gy_ok)
                 g_rep = g_x + config.co_train_bpr_weight * gz
-                predictor.net.set_parameters(numerics.adam_step(
-                    adam_pred, predictor.net.parameters(),
-                    [config.co_train_bpr_weight * g for g in pgrads_pred]))
-            enc_grads, _ = numerics.backward(encoder.net, enc_cache, g_rep)
-            encoder.net.set_parameters(
-                numerics.adam_step(adam_enc, encoder.net.parameters(), enc_grads))
+                numerics.adam_step(adam_pred, [predictor.net.flat], [
+                    config.co_train_bpr_weight * np.concatenate(pgrads_pred, axis=None)])
+            enc_grads, _ = numerics.backward(encoder.net, enc_cache, g_rep, input_grad=False)
+            numerics.adam_step(adam_enc, [encoder.net.flat],
+                               [np.concatenate(enc_grads, axis=None)])
 
         if step % config.policy_delay == 0:
-            qv_now = q1.value(xb, policy.act(xb))
-            lam = config.td3bc_alpha / max(np.mean(np.abs(qv_now)), 1e-8)
-            aloss, pgrads = td3bc_actor_loss_and_grads(policy, q1, xb, ab, lam)
+            aloss, pgrads = td3bc_actor_loss_and_grads(policy, q1, xb, ab,
+                                                       alpha=config.td3bc_alpha)
             _check_finite(aloss, step, "actor")
-            policy.net.set_parameters(
-                numerics.adam_step(adam_pi, policy.net.parameters(), pgrads))
+            numerics.adam_step(adam_pi, [policy.net.flat], [np.concatenate(pgrads, axis=None)])
             last_actor_loss = aloss
-            _soft_update(policy_t.net, policy.net, config.tau)
-            _soft_update(q1_t.net, q1.net, config.tau)
-            _soft_update(q2_t.net, q2.net, config.tau)
+            _soft_update(policy_t.net.flat, policy.net.flat, config.tau)
+            _soft_update(q_t_flat, q_flat, config.tau)
+        return closs, last_actor_loss
 
-        done_step = step + 1
-        if probe_every and done_step % probe_every == 0:
-            _maybe_probe(result, done_step, q1, probe_batch, encoder, config.use_encoder)
-        if config.eval_every and done_step % config.eval_every == 0 and env is not None:
-            mean, std, _ = evaluate_return(
-                _rollout_policy(policy, encoder, config.use_encoder),
-                env, config.eval_episodes, seed=config.seed * 100003 + done_step)
-            result.trace.append({
-                "step": done_step, "critic_loss": closs, "actor_loss": last_actor_loss,
-                "eval_return_mean": mean, "eval_return_std": std,
-            })
-
-    if frozen_hash is not None and encoder.param_hash() != frozen_hash:
-        raise ContractViolationError("frozen encoder parameters changed during training")
-    return result
+    result = TrainResult(policy, (q1, q2), encoder)
+    return _train_loop(config, result, env, probe_batch, probe_every, step_fn)
 
 
 def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
@@ -447,46 +462,34 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
     else:
         x_all, x2_all = states, next_states
         input_dim = dataset.state_dim
-    frozen_hash = encoder.param_hash() if (encoder is not None and encoder.frozen) else None
     adim = dataset.action_dim
 
     policy = PolicyModel.build(input_dim, adim, config.hidden, rng)
     q = QModel.build(input_dim, adim, config.hidden, rng, config.q_hidden_activation)
     q_t = QModel(q.net.copy())
-    adam_pi = numerics.AdamState.for_params(policy.net.parameters(), config.learning_rate)
-    adam_q = numerics.AdamState.for_params(q.net.parameters(), config.learning_rate)
+    adam_pi = numerics.AdamState.for_params([policy.net.flat], config.learning_rate)
+    adam_q = numerics.AdamState.for_params([q.net.flat], config.learning_rate)
 
-    result = TrainResult(policy, (q,), encoder)
-    _maybe_probe(result, 0, q, probe_batch, encoder, config.use_encoder)
-    for step in range(config.gradient_steps):
+    def step_fn(step):
         idx = rng.integers(0, states.shape[0], size=config.batch_size)
         xb, x2b, ab, rb, db = x_all[idx], x2_all[idx], actions[idx], rewards[idx], dones[idx]
         target = rb + config.gamma * (1.0 - db.astype(np.float64)) * q_t.value(x2b, policy.act(x2b))
         cand = rng.uniform(-1.0, 1.0, size=(len(idx), config.cql_n_samples, adim))
-        cand = np.concatenate([cand, policy.act(xb)[:, None, :]], axis=1)
+        # the policy's forward pass on xb serves the candidates and the actor loss
+        pi_forward = numerics.forward(policy.net, xb)
+        cand = np.concatenate([cand, (policy.action_bound * pi_forward[0])[:, None, :]], axis=1)
         closs, cgrads = cql_critic_loss_and_grads(q, xb, ab, target, cand, config.cql_alpha)
         _check_finite(closs, step, "cql critic")
-        q.net.set_parameters(numerics.adam_step(adam_q, q.net.parameters(), cgrads))
+        numerics.adam_step(adam_q, [q.net.flat], [np.concatenate(cgrads, axis=None)])
 
-        aloss, pgrads = cql_actor_loss_and_grads(policy, q, xb)
+        aloss, pgrads = cql_actor_loss_and_grads(policy, q, xb, pi_forward)
         _check_finite(aloss, step, "cql actor")
-        policy.net.set_parameters(numerics.adam_step(adam_pi, policy.net.parameters(), pgrads))
-        _soft_update(q_t.net, q.net, config.tau)
+        numerics.adam_step(adam_pi, [policy.net.flat], [np.concatenate(pgrads, axis=None)])
+        _soft_update(q_t.net.flat, q.net.flat, config.tau)
+        return closs, aloss
 
-        done_step = step + 1
-        if probe_every and done_step % probe_every == 0:
-            _maybe_probe(result, done_step, q, probe_batch, encoder, config.use_encoder)
-        if config.eval_every and done_step % config.eval_every == 0 and env is not None:
-            mean, std, _ = evaluate_return(
-                _rollout_policy(policy, encoder, config.use_encoder),
-                env, config.eval_episodes, seed=config.seed * 100003 + done_step)
-            result.trace.append({"step": done_step, "critic_loss": closs,
-                                 "actor_loss": aloss,
-                                 "eval_return_mean": mean, "eval_return_std": std})
-
-    if frozen_hash is not None and encoder.param_hash() != frozen_hash:
-        raise ContractViolationError("frozen encoder parameters changed during training")
-    return result
+    result = TrainResult(policy, (q,), encoder)
+    return _train_loop(config, result, env, probe_batch, probe_every, step_fn)
 
 
 @dataclass
@@ -541,7 +544,7 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
             np.add.at(grad, (si,), config.cql_alpha * soft / len(idx))
             np.add.at(grad, (si, ai), -config.cql_alpha / len(idx))
         _check_finite(loss, step, "tabular cql")
-        q = numerics.adam_step(adam, [q], [grad])[0]
+        numerics.adam_step(adam, [q], [grad])
         if (step + 1) % config.cql_target_every == 0:
             q_t = q.copy()
         if config.eval_every and (step + 1) % config.eval_every == 0:

@@ -40,17 +40,15 @@ class EncoderModel:
 
     def __init__(self, net: numerics.MlpModel, frozen: bool = False):
         self.net = net
-        self.frozen = frozen
+        self.frozen = False
         if frozen:
-            self._lock()
-
-    def _lock(self):
-        for p in self.net.parameters():
-            p.setflags(write=False)
+            self.freeze()
 
     def freeze(self) -> "EncoderModel":
         self.frozen = True
-        self._lock()
+        # the buffer and its views each carry their own write flag
+        for p in (self.net.flat, *self.net.parameters()):
+            p.setflags(write=False)
         return self
 
     @property
@@ -66,7 +64,7 @@ class EncoderModel:
         return z
 
     def param_hash(self) -> str:
-        return hashlib.sha256(numerics.checkpoint_bytes(self.net)).hexdigest()
+        return hashlib.sha256(self.net.flat.tobytes()).hexdigest()
 
     def copy(self, frozen: bool | None = None) -> "EncoderModel":
         return EncoderModel(self.net.copy(), self.frozen if frozen is None else frozen)
@@ -143,7 +141,7 @@ def bpr_batch_grads(encoder: EncoderModel, predictor: PredictorModel,
     y, pred_cache = numerics.forward(predictor.net, z)
     loss, gy = bpr_loss(y, actions, min_action_norm)
     pred_grads, gz = numerics.backward(predictor.net, pred_cache, gy)
-    enc_grads, _ = numerics.backward(encoder.net, enc_cache, gz)
+    enc_grads, _ = numerics.backward(encoder.net, enc_cache, gz, input_grad=False)
     return loss, enc_grads, pred_grads
 
 
@@ -163,9 +161,8 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
     encoder = build_encoder(dataset.state_dim, config.repr_dim, config.encoder_hidden, rng)
     predictor = PredictorModel.build(config.repr_dim, dataset.action_dim,
                                      config.predictor_hidden, rng)
-    params = encoder.net.parameters() + predictor.net.parameters()
+    params = [encoder.net.flat, predictor.net.flat]
     adam = numerics.AdamState.for_params(params, learning_rate=config.learning_rate)
-    n_enc = len(encoder.net.parameters())
     trace = np.zeros(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, states.shape[0], size=config.batch_size)
@@ -174,17 +171,11 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
         )
         if not np.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite pretrain loss at step {step}")
-        adam_update(adam, encoder, predictor, enc_grads, pred_grads, n_enc)
+        numerics.adam_step(adam, params, [np.concatenate(enc_grads, axis=None),
+                                          np.concatenate(pred_grads, axis=None)])
         trace[step] = loss
     encoder.freeze()
     return encoder, trace, predictor, n_dropped
-
-
-def adam_update(adam, encoder, predictor, enc_grads, pred_grads, n_enc):
-    params = encoder.net.parameters() + predictor.net.parameters()
-    new = numerics.adam_step(adam, params, enc_grads + pred_grads)
-    encoder.net.set_parameters(new[:n_enc])
-    predictor.net.set_parameters(new[n_enc:])
 
 
 def dataset_hash(dataset: OfflineDataset) -> str:

@@ -84,13 +84,29 @@ def _check_config_value(action, key, value) -> None:
 # ---------------------------------------------------------------- behaviors
 
 
+def _spec_number(spec: str, text: str, high: float) -> float:
+    """A finite number in [0, high] from a behavior spec."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and 0.0 <= value <= high):
+        raise RejectedInputError(f"behavior {spec!r}: {text!r} is not a number in [0, {high:g}]")
+    return value
+
+
 def _parse_pointmass_behavior(spec: str, env: envs.PointMassEnv):
+    """'mixture:expert:0.5,medium:0.5' samples a behavior per episode by weight."""
     if spec.startswith("mixture:"):
-        parts = spec[len("mixture:"):].split(",")
         mix = []
-        for part in parts:
-            name, weight = part.rsplit(":", 1)
-            mix.append((float(weight), envs.pointmass_behavior(name, env)))
+        for part in spec[len("mixture:"):].split(","):
+            name, sep, weight = part.rpartition(":")
+            if not sep:
+                raise RejectedInputError(f"behavior {spec!r}: {part!r} is not name:weight")
+            mix.append((_spec_number(spec, weight, np.inf), envs.pointmass_behavior(name, env)))
+        if not 0.0 < sum(w for w, _ in mix) < np.inf:
+            raise RejectedInputError(f"behavior {spec!r}: the weights must have a finite, "
+                                     "positive sum")
         return mix
     return envs.pointmass_behavior(spec, env)
 
@@ -100,7 +116,7 @@ def _gridworld_behavior(mdp: envs.TabularMDP, spec: str) -> envs.TabularPolicy:
     if spec == "uniform":
         return envs.TabularPolicy.uniform(mdp.n_states, mdp.n_actions)
     if spec.startswith("eps_greedy:"):
-        eps = float(spec.split(":", 1)[1])
+        eps = _spec_number(spec, spec.split(":", 1)[1], 1.0)
         _, _, greedy = envs.value_iteration(mdp)
         return envs.epsilon_greedy_policy(greedy, eps)
     raise RejectedInputError(f"unknown gridworld behavior {spec!r}")
@@ -358,11 +374,27 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+def _is_summary(s) -> bool:
+    """Whether s has the keys and types of a train summary that `report` reads."""
+    if not (isinstance(s, dict) and isinstance(s.get("task"), str)
+            and isinstance(s.get("label"), str) and isinstance(s.get("seeds"), list)
+            and isinstance(s.get("per_seed"), list) and isinstance(s.get("aggregate"), dict)):
+        return False
+    return (all(isinstance(s["aggregate"].get(k), (int, float)) for k in ("mean", "std", "iqm"))
+            and all(isinstance(r, dict) and isinstance(r.get("trace_file"), str)
+                    for r in s["per_seed"]))
+
+
 def _load_summaries(paths):
     summaries = []
     for p in paths:
         with open(p) as fh:
-            s = json.load(fh)
+            try:
+                s = json.load(fh)
+            except ValueError as exc:
+                raise RejectedInputError(f"summary {p} is not JSON: {exc}") from None
+        if not _is_summary(s):
+            raise RejectedInputError(f"{p} is not a train summary")
         s["_dir"] = os.path.dirname(os.path.abspath(p))
         summaries.append(s)
     return summaries
@@ -378,7 +410,11 @@ def _plot_data_from_traces(summary) -> list[dict]:
             import csv as _csv
             for rec in _csv.DictReader(fh):
                 if rec.get("eval_return_mean"):
-                    by_step.setdefault(int(rec["step"]), []).append(float(rec["eval_return_mean"]))
+                    try:
+                        step, value = int(rec.get("step")), float(rec["eval_return_mean"])
+                    except (TypeError, ValueError):
+                        raise RejectedInputError(f"trace {path}: bad row {rec}") from None
+                    by_step.setdefault(step, []).append(value)
     return [{"step": s, "mean": float(np.mean(v)), "std": float(np.std(v))}
             for s, v in sorted(by_step.items())]
 
@@ -483,7 +519,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(args, parser)
         return args.func(args)
-    except (RejectedInputError, FileNotFoundError) as exc:
+    except (RejectedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingDivergenceError, UnusableDatasetError) as exc:

@@ -1,8 +1,10 @@
 """Small deterministic MLP kernel: forward/backward, Adam, l2 normalization,
 symmetric eigenvalues and the binary checkpoint format.
 
-Everything is float64 and single-threaded. Shapes follow the numpy row
-convention: a batch is (n, dim), a weight is (out_dim, in_dim).
+Everything is float64 and single-threaded: importing bprlab sets OpenBLAS to
+one thread unless OPENBLAS_NUM_THREADS is already set. Shapes follow the numpy
+row convention: a batch is (n, dim), a weight is (out_dim, in_dim). A model's
+parameters live in one contiguous vector, and Adam updates it in place.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ class Layer:
 
 
 class MlpModel:
-    """Plain fully-connected net with a fixed per-layer activation."""
+    """Plain fully-connected net with a fixed per-layer activation.
+
+    All parameters live in one contiguous float64 vector, `flat`, in
+    parameters() order; each layer's weight and bias are views into it."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -46,6 +51,19 @@ class MlpModel:
             if nxt.weight.shape[1] != prev.weight.shape[0]:
                 raise RejectedInputError("consecutive layer dimensions do not chain")
         self.layers = layers
+        self._bind(np.concatenate([p.ravel() for p in self.parameters()]))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make `flat`, which already holds the parameters in parameters() order,
+        the model's buffer, and every weight and bias a view into it."""
+        i = 0
+        for layer in self.layers:
+            for name in ("weight", "bias"):
+                shape = getattr(layer, name).shape
+                size = int(np.prod(shape))
+                setattr(layer, name, flat[i : i + size].reshape(shape))
+                i += size
+        self.flat = flat
 
     @property
     def input_dim(self) -> int:
@@ -62,32 +80,38 @@ class MlpModel:
             out.append(layer.bias)
         return out
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.layers):
-            raise RejectedInputError("parameter list length mismatch")
-        for i, layer in enumerate(self.layers):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != layer.weight.shape or b.shape != layer.bias.shape:
-                raise RejectedInputError("parameter shape mismatch")
-            layer.weight = np.asarray(w, dtype=np.float64)
-            layer.bias = np.asarray(b, dtype=np.float64)
-
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
+        """A model with its own buffer: it shares no memory with this one."""
+        return MlpModel([Layer(l.weight, l.bias, l.activation) for l in self.layers])
 
     def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.flat.copy()
 
     def set_flat_parameters(self, flat: np.ndarray) -> None:
-        params, i = [], 0
-        for p in self.parameters():
-            params.append(flat[i : i + p.size].reshape(p.shape))
-            i += p.size
-        if i != flat.size:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self.flat.shape:
             raise RejectedInputError("flat parameter vector length mismatch")
-        self.set_parameters(params)
+        _check_writable([self.flat])
+        self.flat[...] = flat
+
+
+def share_buffer(models: list[MlpModel]) -> np.ndarray:
+    """Move the models' parameters into one new contiguous vector, in order, and
+    return it. Each model's `flat` becomes a slice of it, so one Adam state and
+    one in-place update cover all of them."""
+    _check_writable([m.flat for m in models])
+    joint = np.concatenate([m.flat for m in models])
+    i = 0
+    for m in models:
+        m._bind(joint[i : i + m.flat.size])
+        i += m.flat.size
+    return joint
+
+
+def _check_writable(arrays: list[np.ndarray]) -> None:
+    for p in arrays:
+        if not p.flags.writeable:
+            raise ContractViolationError("parameters are read-only: the model is frozen")
 
 
 def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) -> MlpModel:
@@ -102,21 +126,11 @@ def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) 
     return MlpModel(layers)
 
 
-def _apply_activation(z: np.ndarray, act: str) -> np.ndarray:
+def _activate_in_place(z: np.ndarray, act: str) -> None:
     if act == "relu":
-        return np.maximum(z, 0.0)
-    if act == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _activation_grad(z: np.ndarray, act: str) -> np.ndarray:
-    if act == "relu":
-        return (z > 0.0).astype(np.float64)
-    if act == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+        np.maximum(z, 0.0, out=z)
+    elif act == "tanh":
+        np.tanh(z, out=z)
 
 
 @dataclass
@@ -124,7 +138,7 @@ class ForwardCache:
     model_id: int
     single: bool
     inputs: list[np.ndarray] = field(default_factory=list)  # per-layer inputs (n, in)
-    preacts: list[np.ndarray] = field(default_factory=list)  # per-layer pre-activations
+    output: np.ndarray | None = None  # the last layer's activation (n, out)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -142,16 +156,18 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     h = x
     for layer in model.layers:
         cache.inputs.append(h)
-        z = h @ layer.weight.T + layer.bias
-        cache.preacts.append(z)
-        h = _apply_activation(z, layer.activation)
+        h = h @ layer.weight.T
+        h += layer.bias
+        _activate_in_place(h, layer.activation)
+    cache.output = h
     return (h[0] if single else h), cache
 
 
 def backward(
-    model: MlpModel, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Returns (gradients in parameters() order, gradient w.r.t. the input)."""
+    model: MlpModel, cache: ForwardCache, output_gradient: np.ndarray, input_grad: bool = True
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Returns (gradients in parameters() order, gradient w.r.t. the input).
+    With input_grad=False the input gradient is not computed and is None."""
     if cache.model_id != id(model) or len(cache.inputs) != len(model.layers):
         raise ContractViolationError("cache does not match this model/forward call")
     gy = np.asarray(output_gradient, dtype=np.float64)
@@ -160,12 +176,25 @@ def backward(
     if gy.shape != (cache.inputs[0].shape[0], model.output_dim):
         raise ContractViolationError("output gradient shape mismatch")
     grads: list[np.ndarray] = [None] * (2 * len(model.layers))
+    # each layer's activation output; relu(z) > 0 exactly where z > 0
+    outputs = cache.inputs[1:] + [cache.output]
     g = gy
     for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        gz = g * _activation_grad(cache.preacts[i], layer.activation)
+        layer, out = model.layers[i], outputs[i]
+        # gz = g * activation'(z), computed in one new array
+        if layer.activation == "relu":
+            gz = (out > 0.0).astype(np.float64)
+            gz *= g
+        elif layer.activation == "tanh":
+            gz = out * out
+            np.subtract(1.0, gz, out=gz)
+            gz *= g
+        else:
+            gz = g
         grads[2 * i] = gz.T @ cache.inputs[i]
         grads[2 * i + 1] = gz.sum(axis=0)
+        if i == 0 and not input_grad:
+            return grads, None
         g = gz @ layer.weight
     return grads, (g[0] if cache.single else g)
 
@@ -217,26 +246,32 @@ class AdamState:
 def adam_step(
     state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Bias-corrected Adam. Mutates state, returns new parameter arrays."""
+    """Bias-corrected Adam, in place: mutates state and every array in params,
+    and returns params."""
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise RejectedInputError("params/grads/state length mismatch")
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise TrainingDivergenceError(f"non-finite gradient at parameter index {i}")
+    _check_writable(params)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        m = state.first_moment[i]
-        v = state.second_moment[i]
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        out.append(p - state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps_stability))
-    return out
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order of operations
+        step = m / bc1
+        step *= state.learning_rate
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += state.eps_stability
+        step /= denom
+        p -= step
+    return params
 
 
 def symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -288,7 +323,7 @@ def model_from_bytes(data: bytes) -> MlpModel:
             offset += rows * cols * 8
             b = np.frombuffer(data, dtype="<f8", count=rows, offset=offset)
             offset += rows * 8
-            layers.append(Layer(w.copy(), b.copy(), _TAG_ACT.get(tag, f"tag {tag}")))
+            layers.append(Layer(w, b, _TAG_ACT.get(tag, f"tag {tag}")))
     except (struct.error, ValueError) as exc:  # the bytes end before the layers do
         raise RejectedInputError(f"truncated checkpoint: {exc}") from None
     if offset != len(data):

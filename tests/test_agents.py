@@ -95,21 +95,56 @@ class TestLossGradients:
         for a, b in zip(g_bc, g_td):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
+    def test_td3bc_lambda_from_the_actor_forward_equals_the_two_forward_lambda(self):
+        pol = self._policy()
+        q = agents.QModel.build(3, 2, (6,), self.rng)
+        # the trainer's former lambda: a separate policy and Q1 forward pass
+        qv = q.value(self.x, pol.act(self.x))
+        lam = 2.5 / max(np.mean(np.abs(qv)), 1e-8)
+        l_own, g_own = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, alpha=2.5)
+        l_fix, g_fix = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, lam=lam)
+        assert np.float64(l_own).tobytes() == np.float64(l_fix).tobytes()
+        for a, b in zip(g_own, g_fix):
+            assert a.tobytes() == b.tobytes()
+        # one ulp of lambda shows in the gradients
+        _, g_ulp = agents.td3bc_actor_loss_and_grads(
+            pol, q, self.x, self.a, lam=np.nextafter(lam, np.inf))
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(g_own, g_ulp))
+
+    def test_cql_actor_reuses_a_given_policy_forward(self):
+        pol = self._policy()
+        q = agents.QModel.build(3, 2, (6,), self.rng)
+        l1, g1 = agents.cql_actor_loss_and_grads(pol, q, self.x)
+        l2, g2 = agents.cql_actor_loss_and_grads(pol, q, self.x,
+                                                 numerics.forward(pol.net, self.x))
+        assert l1 == l2
+        for a, b in zip(g1, g2):
+            np.testing.assert_array_equal(a, b)
+
     def test_cql_penalty_pushes_down_candidates(self):
         # minimizing the penalty raises Q at the data action, lowers elsewhere
         q = agents.QModel.build(3, 2, (6,), self.rng)
         cand = self.rng.uniform(-1, 1, size=(8, 6, 2))
         target = q.value(self.x, self.a)  # zero TD term
         _, grads = agents.cql_critic_loss_and_grads(q, self.x, self.a, target, cand, alpha=1.0)
-        adam = numerics.AdamState.for_params(q.net.parameters(), learning_rate=1e-2)
+        adam = numerics.AdamState.for_params([q.net.flat], learning_rate=1e-2)
         before_data = q.value(self.x, self.a).mean()
         before_cand = q.value(np.repeat(self.x, 6, axis=0), cand.reshape(-1, 2)).mean()
         for _ in range(200):
             _, grads = agents.cql_critic_loss_and_grads(q, self.x, self.a, target, cand, alpha=1.0)
-            q.net.set_parameters(numerics.adam_step(adam, q.net.parameters(), grads))
+            numerics.adam_step(adam, [q.net.flat], [np.concatenate(grads, axis=None)])
         after_data = q.value(self.x, self.a).mean()
         after_cand = q.value(np.repeat(self.x, 6, axis=0), cand.reshape(-1, 2)).mean()
         assert (after_data - after_cand) > (before_data - before_cand) + 0.1
+
+
+def test_soft_update_is_bitwise_the_out_of_place_formula():
+    rng = np.random.default_rng(0)
+    target, source = rng.normal(size=300), rng.normal(size=300)
+    for tau in (0.005, 0.3, 1.0):
+        expected = (1.0 - tau) * target + tau * source
+        agents._soft_update(target, source, tau)
+        assert target.tobytes() == expected.tobytes()
 
 
 class TestFeatures:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bprlab import bpr, envs, numerics
-from bprlab.errors import ContractViolationError, UnusableDatasetError
+from bprlab import agents, bpr, envs, numerics
+from bprlab.errors import BprlabError, ContractViolationError, UnusableDatasetError
 
 finite_vec = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), min_size=2, max_size=5
@@ -160,6 +160,22 @@ class TestPretrain:
         assert enc.frozen
         with pytest.raises(ValueError):
             enc.net.layers[0].weight[0, 0] = 0.0
+
+    @pytest.mark.parametrize("write", [
+        lambda enc: enc.net.set_flat_parameters(np.zeros_like(enc.net.flat)),
+        lambda enc: numerics.adam_step(numerics.AdamState.for_params([enc.net.flat]),
+                                       [enc.net.flat], [np.ones_like(enc.net.flat)]),
+        lambda enc: agents._soft_update(enc.net.flat, np.zeros_like(enc.net.flat), 0.5),
+        lambda enc: numerics.share_buffer([enc.net]),
+    ], ids=["set_flat_parameters", "adam_step", "soft_update", "share_buffer"])
+    def test_frozen_encoder_rejects_writes(self, write):
+        ds = small_dataset(100)
+        enc, _, _, _ = bpr.pretrain(ds, bpr.PretrainConfig(steps=5, **self.CFG))
+        before = enc.param_hash()
+        with pytest.raises(ContractViolationError) as info:
+            write(enc)
+        assert isinstance(info.value, BprlabError)
+        assert enc.param_hash() == before
 
     def test_zero_steps_returns_initial_frozen_encoder(self):
         ds = small_dataset(100)

@@ -287,6 +287,27 @@ def test_dataset_that_does_not_fit_the_task_is_rejected_before_training(
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, tag", [
+    (["gen-data", "--task", "gridworld", "--behavior", "eps_greedy:x", "--n", "20"], None),
+    (["gen-data", "--task", "pointmass", "--behavior", "mixture:expert", "--n", "20"], None),
+    (["train", "--task", "gridworld", "--dataset", "d.jsonl", "--algo", "spibb"],
+     "gridworld:eps_greedy:x"),
+], ids=["eps-not-a-number", "mixture-without-weight", "dataset-tag-eps-not-a-number"])
+def test_bad_behavior_spec_is_usage_error(workdir, capsys, argv, tag):
+    if tag is not None:
+        dataset = envs.load_dataset(str(DATA_DIR / "gridworld-eps0.3-50.jsonl"))
+        envs.save_dataset(dataclasses.replace(dataset, behavior_tag=tag), "d.jsonl")
+    assert run([*argv, "--out", "."]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_dataset_path_that_is_a_directory_is_usage_error(workdir, capsys):
+    (workdir / "d.jsonl").mkdir()
+    assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "bc",
+                "--out", "."]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestAudit:
     def test_clean_audit_exits_zero(self, capsys):
         assert run(["audit", "--json"]) == EXIT_OK
@@ -318,6 +339,26 @@ class TestReport:
         json.dump({"task": "gridworld", "label": "b", "seeds": [0], "per_seed": [],
                    "aggregate": {"mean": 0, "std": 0, "iqm": 0}}, open("b.json", "w"))
         assert run(["report", "a.json", "b.json", "--out", "."]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"label": "a", "seeds": [0], "per_seed": [],
+                    "aggregate": {"mean": 0, "std": 0, "iqm": 0}}),
+        json.dumps({"task": "pointmass", "label": "a", "seeds": 1, "per_seed": [],
+                    "aggregate": {"mean": "high", "std": 0, "iqm": 0}}),
+    ], ids=["not-json", "no-task", "wrong-types"])
+    def test_malformed_summary_is_usage_error(self, workdir, capsys, text):
+        (workdir / "s.json").write_text(text)
+        assert run(["report", "s.json", "--out", "."]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_trace_is_usage_error(self, workdir, capsys):
+        json.dump({"task": "pointmass", "label": "a", "seeds": [0],
+                   "per_seed": [{"seed": 0, "trace_file": "t.csv"}],
+                   "aggregate": {"mean": 0, "std": 0, "iqm": 0}}, open("s.json", "w"))
+        (workdir / "t.csv").write_text("step,eval_return_mean\nx,1.0\n")
+        assert run(["report", "s.json", "--out", "."]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_curve_csv_from_traces(self, workdir):
         run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])

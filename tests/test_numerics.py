@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +175,50 @@ class TestAdam:
             numerics.adam_step(state, p, [np.zeros(2), np.zeros(2)])
 
 
+class TestInPlaceAdam:
+    def test_bitwise_equal_to_the_out_of_place_formula(self):
+        rng = np.random.default_rng(0)
+        shapes = [(7, 5), (5,), (1, 7), (3,)]
+        params = [rng.normal(size=s) for s in shapes]
+        state = numerics.AdamState.for_params(params, learning_rate=3e-3)
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps_stability
+        for t in range(1, 30):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            out = numerics.adam_step(state, params, grads)
+            assert all(o is p for o, p in zip(out, params))
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                ref[i] = ref[i] - lr * (m[i] / (1.0 - b1**t)) / (
+                    np.sqrt(v[i] / (1.0 - b2**t)) + eps)
+            for p, r in zip(params, ref):
+                assert p.tobytes() == r.tobytes()
+
+    def test_read_only_parameters_rejected_before_any_state_changes(self):
+        p = np.zeros(3)
+        p.setflags(write=False)
+        state = numerics.AdamState.for_params([p])
+        with pytest.raises(ContractViolationError):
+            numerics.adam_step(state, [p], [np.ones(3)])
+        assert state.step_count == 0
+        np.testing.assert_array_equal(state.first_moment[0], 0.0)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_sets_one_openblas_thread_unless_preset(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import bprlab, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == expected
+
+
 class TestJacobiEigenvalues:
     def test_matches_lapack_on_random_symmetric(self):
         rng = np.random.default_rng(0)
@@ -288,6 +337,36 @@ class TestModel:
         clone = model.copy()
         clone.layers[0].weight += 1.0
         assert not np.array_equal(clone.layers[0].weight, model.layers[0].weight)
+
+    def test_parameters_are_views_of_the_flat_buffer(self):
+        model = random_model(np.random.default_rng(2))
+        assert model.flat.flags.c_contiguous and model.flat.dtype == np.float64
+        np.testing.assert_array_equal(
+            model.flat, np.concatenate([p.ravel() for p in model.parameters()]))
+        for p in model.parameters():
+            assert np.shares_memory(p, model.flat)
+        model.flat[...] = np.arange(model.flat.size)
+        np.testing.assert_array_equal(model.layers[0].weight.ravel(),
+                                      np.arange(model.layers[0].weight.size))
+
+    def test_copy_shares_no_memory(self):
+        model = random_model(np.random.default_rng(3))
+        clone = model.copy()
+        np.testing.assert_array_equal(clone.flat, model.flat)
+        for a in (clone.flat, *clone.parameters()):
+            for b in (model.flat, *model.parameters()):
+                assert not np.shares_memory(a, b)
+
+    def test_share_buffer_keeps_values_and_joins_the_buffers(self):
+        rng = np.random.default_rng(4)
+        m1, m2 = random_model(rng), random_model(rng)
+        before = [m1.flat_parameters(), m2.flat_parameters()]
+        joint = numerics.share_buffer([m1, m2])
+        np.testing.assert_array_equal(joint, np.concatenate(before))
+        joint += 1.0
+        np.testing.assert_array_equal(m1.flat, before[0] + 1.0)
+        np.testing.assert_array_equal(m2.parameters()[-1], m2.flat[-m2.output_dim:])
+        assert np.shares_memory(m2.layers[0].weight, joint)
 
     def test_mismatched_layer_dims_rejected(self):
         with pytest.raises(RejectedInputError):
