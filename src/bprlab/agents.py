@@ -510,45 +510,60 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
     copied target table plus the logsumexp-minus-data penalty, exact over A.
     With the penalty on, the bootstrap uses the same softmax-weighted value,
     so the learned values stay pessimistic at the greedy action instead of
-    re-inflating through a hard max over penalized entries."""
+    re-inflating through a hard max over penalized entries.
+
+    The target table changes once per cql_target_every steps, so each such
+    window draws its minibatch indices in one call and builds all of its TD
+    targets from one per-state bootstrap value. Each step computes the
+    penalty's logsumexp and softmax once per state and sums the TD, softmax
+    and -alpha/n gradient terms with one bincount, cell by cell in the same
+    order as per-sample accumulation."""
     s, a, r, s2, d = tabular_indices(dataset)
     rng = np.random.default_rng(config.seed)
-    temp = config.cql_temp
+    temp, alpha, every = config.cql_temp, config.cql_alpha, config.cql_target_every
     if temp <= 0.0:
         raise RejectedInputError("cql_temp must be positive")
+    if every < 1:
+        raise RejectedInputError("cql_target_every must be at least 1")
+    n = min(config.batch_size, len(s))
+    cols = np.arange(n_actions)
+    # gradient terms in accumulation order: n TD terms, n softmax rows, n -alpha/n terms
+    weights = np.full(n * (n_actions + 2) if alpha > 0.0 else n, -alpha / n)
     q = np.zeros((n_states, n_actions))
-    q_t = q.copy()
     adam = numerics.AdamState.for_params([q], config.learning_rate)
     trace = []
-    for step in range(config.gradient_steps):
-        idx = rng.integers(0, len(s), size=min(config.batch_size, len(s)))
-        si, ai, ri, s2i, di = s[idx], a[idx], r[idx], s2[idx], d[idx]
-        if config.cql_alpha > 0.0:
-            rows_t = q_t[s2i] / temp
+    for start in range(0, config.gradient_steps, every):
+        if alpha > 0.0:
+            rows_t = q / temp
             w = np.exp(rows_t - rows_t.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
-            next_v = np.sum(w * q_t[s2i], axis=1)
+            v_t = np.sum(w * q, axis=1)
         else:
-            next_v = q_t[s2i].max(axis=1)
-        target = ri + config.gamma * (1.0 - di.astype(np.float64)) * next_v
-        td = q[si, ai] - target
-        loss = float(np.mean(td * td))
-        grad = np.zeros_like(q)
-        np.add.at(grad, (si, ai), 2.0 * td / len(idx))
-        if config.cql_alpha > 0.0:
-            rows = q[si] / temp
-            mx = rows.max(axis=1, keepdims=True)
-            lse = temp * (mx[:, 0] + np.log(np.sum(np.exp(rows - mx), axis=1)))
-            soft = np.exp(rows - lse[:, None] / temp)
-            loss += float(config.cql_alpha * np.mean(lse - q[si, ai]))
-            np.add.at(grad, (si,), config.cql_alpha * soft / len(idx))
-            np.add.at(grad, (si, ai), -config.cql_alpha / len(idx))
-        _check_finite(loss, step, "tabular cql")
-        numerics.adam_step(adam, [q], [grad])
-        if (step + 1) % config.cql_target_every == 0:
-            q_t = q.copy()
-        if config.eval_every and (step + 1) % config.eval_every == 0:
-            trace.append({"step": step + 1, "critic_loss": loss})
+            v_t = q.max(axis=1)
+        idx = rng.integers(0, len(s), size=(min(every, config.gradient_steps - start), n))
+        targets = r[idx] + config.gamma * (1.0 - d[idx].astype(np.float64)) * v_t[s2[idx]]
+        states, actions = s[idx], a[idx]
+        cells = states * n_actions + actions
+        for step, si, ai, cell, target in zip(range(start, config.gradient_steps),
+                                              states, actions, cells, targets):
+            q_sa = q[si, ai]
+            td = q_sa - target
+            loss = float(np.mean(td * td))
+            weights[:n] = 2.0 * td / n
+            flat = cell
+            if alpha > 0.0:
+                rows = q / temp
+                mx = rows.max(axis=1, keepdims=True)
+                lse = temp * (mx[:, 0] + np.log(np.sum(np.exp(rows - mx), axis=1)))
+                soft = np.exp(rows - lse[:, None] / temp)
+                loss += float(alpha * np.mean(lse[si] - q_sa))
+                weights[n:-n] = (alpha * soft / n)[si].ravel()
+                flat = np.concatenate((cell, (si[:, None] * n_actions + cols).ravel(), cell))
+            _check_finite(loss, step, "tabular cql")
+            grad = np.bincount(flat, weights, minlength=q.size).reshape(q.shape)
+            numerics.adam_step(adam, [q], [grad])
+            if config.eval_every and (step + 1) % config.eval_every == 0:
+                trace.append({"step": step + 1, "critic_loss": loss})
     greedy = TabularPolicy.deterministic(q.argmax(axis=1), n_actions)
     return TabularCQLResult(q, greedy, trace)
 

@@ -405,7 +405,8 @@ def _plot_data_from_traces(summary) -> list[dict]:
     for row in summary["per_seed"]:
         path = os.path.join(summary["_dir"], row["trace_file"])
         if not os.path.exists(path):
-            continue
+            raise RejectedInputError(f"summary {summary['label']!r} names trace {path}, "
+                                     "which does not exist")
         with open(path) as fh:
             import csv as _csv
             for rec in _csv.DictReader(fh):

@@ -182,9 +182,17 @@ def _tabular_dataset(n_states: int, n_actions: int, s, a, r, s2, d,
 
 
 def tabular_indices(dataset: OfflineDataset):
-    """Decode one-hot states/actions back to integer indices."""
+    """Decode one-hot states/actions back to integer indices. Every state,
+    action and next-state row must hold exactly one 1 and zeros elsewhere."""
     s, a, r, s2, d = dataset.arrays()
-    return s.argmax(axis=1), a.argmax(axis=1), r, s2.argmax(axis=1), d
+    indices = []
+    for name, col in (("state", s), ("action", a), ("next_state", s2)):
+        idx = col.argmax(axis=1)
+        bad = np.flatnonzero((col != np.eye(col.shape[1])[idx]).any(axis=1))
+        if bad.size:
+            raise RejectedInputError(f"{name} of row {bad[0]} is not one-hot: {col[bad[0]].tolist()}")
+        indices.append(idx)
+    return indices[0], indices[1], r, indices[2], d
 
 
 def evaluate_policy_exact(mdp: TabularMDP, policy: TabularPolicy) -> tuple[np.ndarray, float]:
@@ -309,29 +317,23 @@ def empirical_mdp_from_dataset(dataset: OfflineDataset, n_states: int, n_actions
     transitions; initial distribution is empirical over episode starts."""
     s, a, r, s2, d = tabular_indices(dataset)
     n_total = n_states + 1  # + absorbing terminal
-    counts = np.zeros((n_states, n_actions))
-    next_counts = np.zeros((n_states, n_actions, n_total))
-    reward_sums = np.zeros((n_states, n_actions))
-    start_counts = np.zeros(n_total)
-    is_start = True
-    for si, ai, ri, s2i, di in zip(s, a, r, s2, d):
-        if is_start:
-            start_counts[si] += 1
-        counts[si, ai] += 1
-        reward_sums[si, ai] += ri
-        next_counts[si, ai, n_states if di else s2i] += 1
-        is_start = bool(di)
+    n_pairs = n_states * n_actions
+    pair = s * n_actions + a
+    counts = np.bincount(pair, minlength=n_pairs).astype(np.float64).reshape(n_states, n_actions)
+    reward_sums = np.bincount(pair, weights=r, minlength=n_pairs).reshape(n_states, n_actions)
+    next_counts = np.bincount(pair * n_total + np.where(d, n_states, s2),
+                              minlength=n_pairs * n_total).reshape(n_states, n_actions, n_total)
+    # episodes start at row 0 and after every done
+    start_counts = np.bincount(s[np.concatenate(([True], d[:-1]))], minlength=n_total)
+    seen = counts > 0
     t = np.zeros((n_total, n_actions, n_total))
+    np.divide(next_counts, counts[:, :, None], out=t[:n_states], where=seen[:, :, None])
+    unseen_s, unseen_a = np.nonzero(~seen)
+    t[unseen_s, unseen_a, unseen_s] = 1.0
     rew = np.zeros((n_total, n_actions))
-    for si in range(n_states):
-        for ai in range(n_actions):
-            if counts[si, ai] > 0:
-                t[si, ai] = next_counts[si, ai] / counts[si, ai]
-                rew[si, ai] = reward_sums[si, ai] / counts[si, ai]
-            else:
-                t[si, ai, si] = 1.0
+    np.divide(reward_sums, counts, out=rew[:n_states], where=seen)
     t[n_states, :, n_states] = 1.0
-    rho = start_counts / start_counts.sum() if start_counts.sum() > 0 else np.eye(n_total)[0]
+    rho = start_counts / start_counts.sum()
     terminal = np.zeros(n_total, dtype=bool)
     terminal[n_states] = True
     # states never visited as a current state have no model; absorb them at 0

@@ -332,6 +332,93 @@ class TestTabularCql:
             agents.train_cql(ds, cfg, tabular_shape=(3, 2))
 
 
+def reference_cql_tabular(dataset, n_states, n_actions, config, nudge_targets=False):
+    """The per-sample tabular CQL loop that train_cql_tabular must reproduce
+    bit for bit. nudge_targets moves every TD target up by one ulp."""
+    s, a, r, s2, d = envs.tabular_indices(dataset)
+    rng = np.random.default_rng(config.seed)
+    temp = config.cql_temp
+    q = np.zeros((n_states, n_actions))
+    q_t = q.copy()
+    adam = numerics.AdamState.for_params([q], config.learning_rate)
+    trace = []
+    for step in range(config.gradient_steps):
+        idx = rng.integers(0, len(s), size=min(config.batch_size, len(s)))
+        si, ai, ri, s2i, di = s[idx], a[idx], r[idx], s2[idx], d[idx]
+        if config.cql_alpha > 0.0:
+            rows_t = q_t[s2i] / temp
+            w = np.exp(rows_t - rows_t.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            next_v = np.sum(w * q_t[s2i], axis=1)
+        else:
+            next_v = q_t[s2i].max(axis=1)
+        target = ri + config.gamma * (1.0 - di.astype(np.float64)) * next_v
+        if nudge_targets:
+            target = np.nextafter(target, np.inf)
+        td = q[si, ai] - target
+        loss = float(np.mean(td * td))
+        grad = np.zeros_like(q)
+        np.add.at(grad, (si, ai), 2.0 * td / len(idx))
+        if config.cql_alpha > 0.0:
+            rows = q[si] / temp
+            mx = rows.max(axis=1, keepdims=True)
+            lse = temp * (mx[:, 0] + np.log(np.sum(np.exp(rows - mx), axis=1)))
+            soft = np.exp(rows - lse[:, None] / temp)
+            loss += float(config.cql_alpha * np.mean(lse - q[si, ai]))
+            np.add.at(grad, (si,), config.cql_alpha * soft / len(idx))
+            np.add.at(grad, (si, ai), -config.cql_alpha / len(idx))
+        numerics.adam_step(adam, [q], [grad])
+        if (step + 1) % config.cql_target_every == 0:
+            q_t = q.copy()
+        if config.eval_every and (step + 1) % config.eval_every == 0:
+            trace.append({"step": step + 1, "critic_loss": loss})
+    return q, trace
+
+
+class TestTabularCqlMatchesPerSampleLoop:
+    """Per-window targets, per-state penalty and one bincount reorder no sum."""
+
+    @staticmethod
+    def gridworld_data():
+        mdp = envs.make_gridworld()
+        _, _, greedy = envs.value_iteration(mdp)
+        ds = envs.generate_tabular_dataset(mdp, envs.epsilon_greedy_policy(greedy, 0.3), 2000, seed=3)
+        return ds, (25, 4)
+
+    @staticmethod
+    def counterexample_data():
+        _, ds, _ = envs.build_counterexample()
+        return ds, (3, 2)
+
+    @pytest.mark.parametrize("data", ["gridworld_data", "counterexample_data"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("target_every, steps", [(7, 60), (1000, 40), (100, 1)])
+    def test_bitwise_equal(self, data, alpha, target_every, steps):
+        ds, shape = getattr(self, data)()
+        cfg = agents.AgentConfig(algorithm="cql", gamma=0.95, cql_alpha=alpha, batch_size=256,
+                                 cql_target_every=target_every, gradient_steps=steps,
+                                 learning_rate=1e-2, eval_every=3, seed=5)
+        res = agents.train_cql_tabular(ds, *shape, cfg)
+        q_ref, trace_ref = reference_cql_tabular(ds, *shape, cfg)
+        assert res.q.tobytes() == q_ref.tobytes()
+        greedy = envs.TabularPolicy.deterministic(q_ref.argmax(axis=1), shape[1])
+        assert res.policy.probs.tobytes() == greedy.probs.tobytes()
+        assert res.trace == trace_ref
+
+    def test_one_ulp_in_the_targets_breaks_equality(self):
+        ds, shape = self.gridworld_data()
+        cfg = agents.AgentConfig(algorithm="cql", gamma=0.95, cql_alpha=1.0,
+                                 cql_target_every=7, gradient_steps=30, learning_rate=1e-2)
+        q_ref, _ = reference_cql_tabular(ds, *shape, cfg, nudge_targets=True)
+        assert agents.train_cql_tabular(ds, *shape, cfg).q.tobytes() != q_ref.tobytes()
+
+    def test_target_period_below_one_rejected(self):
+        ds, shape = self.counterexample_data()
+        cfg = agents.AgentConfig(algorithm="cql", cql_target_every=0)
+        with pytest.raises(RejectedInputError):
+            agents.train_cql_tabular(ds, *shape, cfg)
+
+
 class TestSpibb:
     def setup_method(self):
         self.mdp = envs.make_gridworld()

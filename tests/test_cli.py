@@ -287,6 +287,19 @@ def test_dataset_that_does_not_fit_the_task_is_rejected_before_training(
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_tabular_row_that_is_not_one_hot_is_usage_error(workdir, capsys):
+    lines = (DATA_DIR / "gridworld-eps0.3-50.jsonl").read_text().splitlines()
+    row = json.loads(lines[5])
+    row["s"] = (0.4 * np.eye(25)[0] + 0.6 * np.eye(25)[3]).tolist()
+    row["a"] = [0.0] * 4
+    lines[5] = json.dumps(row)
+    (workdir / "d.jsonl").write_text("\n".join(lines) + "\n")
+    assert run(["train", "--task", "gridworld", "--dataset", "d.jsonl", "--algo", "spibb",
+                "--probe-bounds", "--out", "."]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not one-hot" in err
+
+
 @pytest.mark.parametrize("argv, tag", [
     (["gen-data", "--task", "gridworld", "--behavior", "eps_greedy:x", "--n", "20"], None),
     (["gen-data", "--task", "pointmass", "--behavior", "mixture:expert", "--n", "20"], None),
@@ -359,6 +372,14 @@ class TestReport:
         (workdir / "t.csv").write_text("step,eval_return_mean\nx,1.0\n")
         assert run(["report", "s.json", "--out", "."]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_trace_is_usage_error(self, workdir, capsys):
+        json.dump({"task": "pointmass", "label": "a", "seeds": [0],
+                   "per_seed": [{"seed": 0, "trace_file": "missing.csv"}],
+                   "aggregate": {"mean": 0, "std": 0, "iqm": 0}}, open("s.json", "w"))
+        assert run(["report", "s.json", "--out", "."]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.csv" in err
 
     def test_curve_csv_from_traces(self, workdir):
         run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])

@@ -250,6 +250,60 @@ class TestEmpiricalModel:
             se = np.sqrt(p * (1 - p) / n)
             assert abs(est.probs[s, 0] - p) < 5 * se
 
+    @staticmethod
+    def reference_model(dataset, n_states, n_actions):
+        """The per-row loop that empirical_mdp_from_dataset must match bit for bit."""
+        s, a, r, s2, d = envs.tabular_indices(dataset)
+        n_total = n_states + 1
+        counts = np.zeros((n_states, n_actions))
+        next_counts = np.zeros((n_states, n_actions, n_total))
+        reward_sums = np.zeros((n_states, n_actions))
+        start_counts = np.zeros(n_total)
+        is_start = True
+        for si, ai, ri, s2i, di in zip(s, a, r, s2, d):
+            if is_start:
+                start_counts[si] += 1
+            counts[si, ai] += 1
+            reward_sums[si, ai] += ri
+            next_counts[si, ai, n_states if di else s2i] += 1
+            is_start = bool(di)
+        t = np.zeros((n_total, n_actions, n_total))
+        rew = np.zeros((n_total, n_actions))
+        for si in range(n_states):
+            for ai in range(n_actions):
+                if counts[si, ai] > 0:
+                    t[si, ai] = next_counts[si, ai] / counts[si, ai]
+                    rew[si, ai] = reward_sums[si, ai] / counts[si, ai]
+                else:
+                    t[si, ai, si] = 1.0
+        t[n_states, :, n_states] = 1.0
+        return t, rew, start_counts / start_counts.sum(), counts
+
+    @pytest.mark.parametrize("case", ["gridworld", "short-gridworld", "counterexample",
+                                      "collapsed", "no-terminals"])
+    def test_matches_the_per_row_loop_bitwise(self, case):
+        _, counterexample, collapse = envs.build_counterexample()
+        grid = envs.make_gridworld()
+        behavior = envs.epsilon_greedy_policy(envs.value_iteration(grid)[2], 0.3)
+        loop_mdp = envs.random_mdp(6, 3, np.random.default_rng(0))
+        dataset = {
+            "gridworld": lambda: envs.generate_tabular_dataset(grid, behavior, 2000, seed=0),
+            "short-gridworld": lambda: envs.generate_tabular_dataset(grid, behavior, 9, seed=1),
+            "counterexample": lambda: counterexample,
+            "collapsed": lambda: envs.collapse_dataset(counterexample, collapse),
+            "no-terminals": lambda: envs.generate_tabular_dataset(
+                loop_mdp, envs.TabularPolicy.uniform(6, 3), 40, seed=0),
+        }[case]()
+        n_states, n_actions = dataset.state_dim, dataset.action_dim
+        mdp_hat, counts = envs.empirical_mdp_from_dataset(dataset, n_states, n_actions, 0.9)
+        t, rew, rho, ref_counts = self.reference_model(dataset, n_states, n_actions)
+        for got, want in ((mdp_hat.transition, t), (mdp_hat.reward, rew),
+                          (mdp_hat.initial_dist, rho), (counts, ref_counts)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert mdp_hat.r_max == max(1.0, np.max(np.abs(rew)))
+        unvisited = np.append(ref_counts.sum(axis=1) == 0, True)
+        np.testing.assert_array_equal(mdp_hat.terminal, unvisited)
+
     def test_policy_mass_on_unseen_action_rejected(self):
         _, dataset, _ = envs.build_counterexample()
         s, a, r, s2, d = dataset.arrays()
@@ -301,6 +355,22 @@ class TestPointMass:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("column, row", [
+        (0, 0.4 * np.eye(3)[0] + 0.6 * np.eye(3)[2]),
+        (0, np.zeros(3)),
+        (1, np.ones(2)),
+        (1, np.array([2.0, 0.0])),
+        (3, np.array([0.0, 1.0, 1e-300])),
+        (3, np.array([1.0, 1.0, -1.0])),
+    ], ids=["state-mixture", "state-all-zero", "action-two-ones", "action-two",
+            "next-state-tiny", "next-state-sums-to-one"])
+    def test_row_that_is_not_one_hot_is_rejected(self, column, row):
+        _, dataset, _ = envs.build_counterexample()
+        columns = [np.array(col) for col in dataset.arrays()]
+        columns[column][4] = row
+        with pytest.raises(RejectedInputError, match="row 4 is not one-hot"):
+            envs.tabular_indices(envs.OfflineDataset(3, 2, *columns))
+
     def test_bad_transition_rows_rejected(self):
         with pytest.raises(RejectedInputError):
             envs.TabularMDP(2, 1, np.zeros((2, 1, 2)), np.zeros((2, 1)),
