@@ -4,9 +4,11 @@ dataset generation, and the two-state state-collapse counterexample."""
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,9 @@ class TabularMDP:
             raise RejectedInputError("transition tensor shape mismatch")
         if self.reward.shape != (self.n_states, self.n_actions):
             raise RejectedInputError("reward shape mismatch")
+        for name, dist in (("transition", self.transition), ("initial distribution", self.initial_dist)):
+            if not np.all(np.isfinite(dist)) or np.any(dist < 0):
+                raise RejectedInputError(f"{name} entries must be finite and non-negative")
         row_sums = self.transition.sum(axis=2)
         if np.max(np.abs(row_sums - 1.0)) > 1e-9:
             raise RejectedInputError("transition rows must sum to 1")
@@ -55,6 +60,8 @@ class TabularPolicy:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
+        if not np.all(np.isfinite(self.probs)):
+            raise RejectedInputError("non-finite policy probability")
         if np.any(self.probs < -_PROB_TOL):
             raise RejectedInputError("negative policy probability")
         if np.max(np.abs(self.probs.sum(axis=1) - 1.0)) > 1e-9:
@@ -385,17 +392,59 @@ def estimate_behavior_tabular(dataset: OfflineDataset, n_states: int, n_actions:
     return TabularPolicy(probs), counts, unvisited
 
 
+_UNIFORM_BLOCK = 4096  # doubles per rng.random call in generate_tabular_dataset
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
+
+
+def _choice_cdf(p: np.ndarray, name: str) -> list:
+    """The CDF that Generator.choice(k, p=row) builds for each row (last axis)
+    of p, cumsum then divide by the total, as nested lists of Python floats.
+    Like choice, rejects a negative or non-finite entry and a row whose sum is
+    off 1 by more than sqrt(eps)."""
+    if np.all(np.isfinite(p)) and not np.any(p < 0):
+        cdf = np.cumsum(p, axis=-1)
+        if np.all(np.abs(cdf[..., -1] - 1.0) <= _CHOICE_ATOL):
+            return (cdf / cdf[..., -1:]).tolist()
+    raise RejectedInputError(f"cannot sample from the {name}: entries must be finite and "
+                             "non-negative and each row must sum to 1")
+
+
+def _uniforms(rng: np.random.Generator):
+    """The doubles of successive rng.random() calls, drawn _UNIFORM_BLOCK at a time."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
 def generate_tabular_dataset(mdp: TabularMDP, policy: TabularPolicy, n: int, seed: int,
                              max_episode_len: int = 200, behavior_tag: str = "tabular") -> OfflineDataset:
-    rng = np.random.default_rng(seed)
+    """Roll the policy out in the MDP until n rows are logged. Each episode
+    draws a start state from initial_dist, then an action and a next state
+    per row, and ends at a terminal state or after max_episode_len rows. The
+    dataset is a function of (mdp, policy, n, seed, max_episode_len) alone:
+    each draw is the index np.random.default_rng(seed).choice(k, p=row) would
+    return at that point of the stream, found by bisecting choice's own CDF
+    (built once per call) at the next rng.random() double. The files under
+    tests/data/ pin the generated bytes. A policy of the wrong shape,
+    max_episode_len < 1 and a row that choice rejected (a negative or
+    non-finite entry, a sum off 1) raise RejectedInputError."""
+    if policy.probs.shape != (mdp.n_states, mdp.n_actions):
+        raise RejectedInputError(f"policy shape {policy.probs.shape} does not fit the MDP's "
+                                 f"({mdp.n_states}, {mdp.n_actions})")
+    if max_episode_len < 1:
+        raise RejectedInputError("max_episode_len must be positive")
+    start_cdf = _choice_cdf(mdp.initial_dist, "initial distribution")
+    action_cdf = _choice_cdf(policy.probs, "policy")
+    next_cdf = _choice_cdf(mdp.transition, "transition")
+    reward, terminal = mdp.reward.tolist(), mdp.terminal.tolist()
+    uniform = _uniforms(np.random.default_rng(seed)).__next__
     rows = []
     while len(rows) < n:
-        s = rng.choice(mdp.n_states, p=mdp.initial_dist)
+        s = bisect_right(start_cdf, uniform())
         for _ in range(max_episode_len):
-            a = rng.choice(mdp.n_actions, p=policy.probs[s])
-            s2 = rng.choice(mdp.n_states, p=mdp.transition[s, a])
-            done = bool(mdp.terminal[s2])
-            rows.append((s, a, mdp.reward[s, a], s2, done))
+            a = bisect_right(action_cdf[s], uniform())
+            s2 = bisect_right(next_cdf[s][a], uniform())
+            done = terminal[s2]
+            rows.append((s, a, reward[s][a], s2, done))
             if done or len(rows) >= n:
                 break
             s = s2
@@ -417,11 +466,12 @@ class PointMassEnv:
         return np.concatenate([p, np.zeros(2)])
 
     def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, float]:
-        a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+        a = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), -1.0), 1.0)
         p, v = state[:2], state[2:]
         v = 0.9 * v + 0.1 * a
         p = p + 0.05 * v
-        reward = -float(np.linalg.norm(p - self.goal))
+        d = p - self.goal
+        reward = -math.sqrt(d.dot(d))
         return np.concatenate([p, v]), reward
 
 
@@ -433,7 +483,7 @@ def pointmass_behavior(name: str, env: PointMassEnv):
             a = gain * (env.goal - state[:2]) - 0.2 * state[2:]
             if noise > 0:
                 a = a + rng.normal(0.0, noise, size=2)
-            return np.clip(a, -1.0, 1.0)
+            return np.minimum(np.maximum(a, -1.0), 1.0)
 
         return act
 

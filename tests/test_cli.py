@@ -9,6 +9,8 @@ import pytest
 from bprlab import agents, cli, envs, numerics
 from bprlab.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE
 
+DATA_DIR = Path(__file__).parent / "data"
+
 
 def run(args):
     return cli.main(args)
@@ -32,6 +34,18 @@ class TestGenData:
             run(["gen-data", "--task", "gridworld", "--behavior", "eps_greedy:0.3",
                  "--n", "200", "--seed", "5", "--name", name, "--out", "."])
         assert open("a.jsonl", "rb").read() == open("b.jsonl", "rb").read()
+
+    # The files under tests/data/ were written by an earlier release; generation
+    # must rebuild them byte for byte, not only load and save them.
+    @pytest.mark.parametrize("name, argv", [
+        ("gridworld-eps0.3-50.jsonl",
+         ["--task", "gridworld", "--behavior", "eps_greedy:0.3", "--n", "50"]),
+        ("pointmass-mixture-20.jsonl",
+         ["--task", "pointmass", "--behavior", "mixture:expert:0.5,medium:0.5", "--n", "20"]),
+    ], ids=["gridworld", "pointmass"])
+    def test_rebuilds_the_pinned_files_byte_for_byte(self, workdir, name, argv):
+        assert run(["gen-data", *argv, "--seed", "0", "--name", name, "--out", "."]) == EXIT_OK
+        assert (workdir / name).read_bytes() == (DATA_DIR / name).read_bytes()
 
     def test_counterexample_task(self, workdir):
         run(["gen-data", "--task", "counterexample", "--name", "c.jsonl", "--out", "."])
@@ -261,9 +275,6 @@ def test_corrupt_encoder_checkpoint_is_usage_error(workdir, capsys):
     capsys.readouterr()
     assert run([*_TRAIN_BC, "--encoder", "bad.ckpt"]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
-
-
-DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("task, algo, name, tag", [

@@ -314,6 +314,89 @@ class TestEmpiricalModel:
             envs.evaluate_on_empirical_collapsed_model(pruned, collapse, np.array([0.0, 1.0]))
 
 
+class TestTabularGenerationMatchesChoice:
+    @staticmethod
+    def reference_generate_tabular(mdp, policy, n, seed, max_episode_len=200,
+                                   behavior_tag="tabular"):
+        """The Generator.choice loop that generate_tabular_dataset must match bit for bit."""
+        rng = np.random.default_rng(seed)
+        rows = []
+        while len(rows) < n:
+            s = rng.choice(mdp.n_states, p=mdp.initial_dist)
+            for _ in range(max_episode_len):
+                a = rng.choice(mdp.n_actions, p=policy.probs[s])
+                s2 = rng.choice(mdp.n_states, p=mdp.transition[s, a])
+                done = bool(mdp.terminal[s2])
+                rows.append((s, a, mdp.reward[s, a], s2, done))
+                if done or len(rows) >= n:
+                    break
+                s = s2
+        return envs._tabular_dataset(mdp.n_states, mdp.n_actions, *zip(*rows), behavior_tag)
+
+    @staticmethod
+    def same(got, want):
+        return got.behavior_tag == want.behavior_tag and all(
+            x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            for x, y in zip(got.arrays(), want.arrays()))
+
+    @pytest.mark.parametrize("case, seed, n, max_episode_len", [
+        ("eps-greedy", 0, 2000, 200),
+        ("eps-greedy", 1, 2000, 200),
+        ("eps-greedy", 99, 2000, 200),  # criterion 5's seeds are 0-99
+        ("eps-greedy", 10_000, 2000, 200),  # criterion 6's are 10000-10099
+        ("eps-greedy", 10_099, 2000, 200),
+        ("deterministic", 3, 500, 200),
+        ("random-mdp", 4, 300, 200),
+        ("counterexample-uniform", 5, 400, 200),
+        ("eps-greedy", 6, 700, 3),
+        ("eps-greedy", 7, 4, 200),
+        ("eps-greedy", 8, 5000, 200),  # two draws per row or more: over two uniform blocks
+    ], ids=["grid-0", "grid-1", "grid-99", "grid-10000", "grid-10099", "deterministic",
+            "random-mdp", "counterexample-uniform", "truncated-episodes", "n-inside-one-episode",
+            "several-uniform-blocks"])
+    def test_equals_the_choice_loop(self, case, seed, n, max_episode_len):
+        grid = envs.make_gridworld()
+        greedy = envs.value_iteration(grid)[2]
+        mdp, policy = {
+            "eps-greedy": lambda: (grid, envs.epsilon_greedy_policy(greedy, 0.3)),
+            # zero-probability actions repeat a CDF value
+            "deterministic": lambda: (grid, greedy),
+            "random-mdp": lambda: (envs.random_mdp(7, 3, np.random.default_rng(seed)),
+                                   envs.TabularPolicy(np.random.default_rng(1).dirichlet(
+                                       np.ones(3), size=7))),
+            "counterexample-uniform": lambda: (envs.build_counterexample()[0],
+                                               envs.TabularPolicy.uniform(3, 2)),
+        }[case]()
+        got = envs.generate_tabular_dataset(mdp, policy, n, seed, max_episode_len, "t")
+        want = self.reference_generate_tabular(mdp, policy, n, seed, max_episode_len, "t")
+        assert got.n == n and self.same(got, want)
+
+    def test_draws_on_a_cdf_step_follow_choice_and_one_ulp_breaks_equality(self, monkeypatch):
+        u = np.random.default_rng(0).random(2)  # seed 0's start and first action draws
+        # choice divides each CDF by its total: this start CDF steps at u[0]
+        # before the division and above u[0] after it
+        rho = np.array([u[0], 1.0 - 1e-10 - u[0]])
+        # choice breaks a tie to the right: this action CDF steps exactly at u[1]
+        probs = np.tile([u[1], 1.0 - u[1]], (2, 1))
+        assert probs.cumsum(axis=1)[0, -1] == 1.0
+        mdp = envs.TabularMDP(2, 2, np.full((2, 2, 2), 0.5), np.array([[0.0, 0.5], [1.0, 0.25]]),
+                              rho, 0.9, 1.0, np.zeros(2, dtype=bool))
+        policy = envs.TabularPolicy(probs)
+        want = self.reference_generate_tabular(mdp, policy, 50, 0)
+        assert want.states[0, 0] == 1.0 and want.actions[0, 1] == 1.0
+        assert self.same(envs.generate_tabular_dataset(mdp, policy, 50, 0), want)
+        real = envs._uniforms
+
+        def second_uniform_one_ulp_lower(rng):
+            stream = real(rng)
+            yield next(stream)
+            yield float(np.nextafter(next(stream), 0.0))
+            yield from stream
+
+        monkeypatch.setattr(envs, "_uniforms", second_uniform_one_ulp_lower)
+        assert not self.same(envs.generate_tabular_dataset(mdp, policy, 50, 0), want)
+
+
 class TestPointMass:
     def test_step_dynamics(self):
         env = envs.PointMassEnv()
@@ -386,3 +469,63 @@ class TestValidation:
     def test_policy_rows_must_normalize(self):
         with pytest.raises(RejectedInputError):
             envs.TabularPolicy(np.array([[0.5, 0.4]]))
+
+    @staticmethod
+    def two_state_mdp(transition_row=(0.5, 0.5), initial_dist=(1.0, 0.0)):
+        t = np.tile(np.array(transition_row, dtype=float), (2, 1, 1))
+        return envs.TabularMDP(2, 1, t, np.zeros((2, 1)), np.array(initial_dist), 0.9, 1.0,
+                               np.zeros(2, dtype=bool))
+
+    def test_nan_transition_rejected(self):
+        with pytest.raises(RejectedInputError, match="transition entries"):
+            self.two_state_mdp(transition_row=(np.nan, 1.0))
+
+    def test_nan_initial_dist_rejected(self):
+        with pytest.raises(RejectedInputError, match="initial distribution entries"):
+            self.two_state_mdp(initial_dist=(np.nan, 1.0))
+
+    def test_negative_transition_row_that_sums_to_one_rejected(self):
+        t = np.tile([0.94, 0.03, -0.27, 0.30], (4, 1, 1))
+        assert abs(t.sum(axis=2) - 1.0).max() < 1e-9
+        with pytest.raises(RejectedInputError, match="transition entries"):
+            envs.TabularMDP(4, 1, t, np.zeros((4, 1)), np.full(4, 0.25), 0.9, 1.0,
+                            np.zeros(4, dtype=bool))
+
+    def test_nan_policy_rejected(self):
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            envs.TabularPolicy(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("target, row", [
+        ("policy", (1.0 + 1e-13, -1e-13)),
+        ("transition", (1.25, -0.25)),
+        ("transition", (0.5, 0.4)),
+        ("transition", (np.inf, 1.0)),
+        ("initial_dist", (np.nan, 1.0)),
+    ], ids=["policy-tiny-negative", "transition-negative", "transition-sum",
+            "transition-inf", "initial-dist-nan"])
+    def test_generator_rejects_what_choice_rejected(self, target, row):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, p=np.array(row))
+        # TabularPolicy tolerates -1e-12; the MDP is written in place after its checks
+        mdp = envs.TabularMDP(2, 2, np.full((2, 2, 2), 0.5), np.zeros((2, 2)),
+                              np.array([1.0, 0.0]), 0.9, 1.0, np.zeros(2, dtype=bool))
+        policy = envs.TabularPolicy.uniform(2, 2)
+        if target == "policy":
+            policy = envs.TabularPolicy(np.array([row, (0.5, 0.5)]))
+        elif target == "transition":
+            mdp.transition[0, 1] = row
+        else:
+            mdp.initial_dist[:] = row
+        with pytest.raises(RejectedInputError, match="cannot sample"):
+            envs.generate_tabular_dataset(mdp, policy, 10, seed=0)
+
+    def test_generator_rejects_a_policy_of_the_wrong_shape(self):
+        with pytest.raises(RejectedInputError, match="policy shape"):
+            envs.generate_tabular_dataset(self.two_state_mdp(), envs.TabularPolicy.uniform(2, 3),
+                                          10, seed=0)
+
+    def test_generator_rejects_empty_episodes(self):
+        # max_episode_len = 0 logged no row per episode, so the loop never ended
+        with pytest.raises(RejectedInputError, match="max_episode_len"):
+            envs.generate_tabular_dataset(self.two_state_mdp(), envs.TabularPolicy.uniform(2, 1),
+                                          10, seed=0, max_episode_len=0)
