@@ -4,6 +4,7 @@ behavior cloning, TD3+BC, CQL (continuous and tabular), and tabular SPIBB."""
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,8 @@ from .envs import (
     PointMassEnv,
     TabularMDP,
     TabularPolicy,
+    _choice_cdf,
+    _uniforms,
     empirical_mdp_from_dataset,
     estimate_behavior_tabular,
     evaluate_policy_exact,
@@ -266,18 +269,26 @@ def evaluate_return(policy_fn, env: PointMassEnv, episodes: int, seed: int):
 
 def evaluate_return_tabular(mdp: TabularMDP, policy: TabularPolicy, episodes: int,
                             seed: int, horizon: int = 400):
-    rng = np.random.default_rng(seed)
+    """Monte Carlo discounted returns of policy in mdp, one episode of at most
+    horizon steps each. Every start, action and next-state draw is the index
+    np.random.default_rng(seed).choice(k, p=row) would return at that point
+    of the stream, found as generate_tabular_dataset finds it."""
+    start_cdf = _choice_cdf(mdp.initial_dist, "initial distribution")
+    action_cdf = _choice_cdf(policy.probs, "policy")
+    next_cdf = _choice_cdf(mdp.transition, "transition")
+    reward, terminal = mdp.reward.tolist(), mdp.terminal.tolist()
+    uniform = _uniforms(np.random.default_rng(seed)).__next__
     returns = np.zeros(episodes)
     for ep in range(episodes):
-        s = rng.choice(mdp.n_states, p=mdp.initial_dist)
+        s = bisect_right(start_cdf, uniform())
         total, disc = 0.0, 1.0
         for _ in range(horizon):
-            if mdp.terminal[s]:
+            if terminal[s]:
                 break
-            a = rng.choice(mdp.n_actions, p=policy.probs[s])
-            total += disc * mdp.reward[s, a]
+            a = bisect_right(action_cdf[s], uniform())
+            total += disc * reward[s][a]
             disc *= mdp.discount
-            s = rng.choice(mdp.n_states, p=mdp.transition[s, a])
+            s = bisect_right(next_cdf[s][a], uniform())
         returns[ep] = total
     return float(returns.mean()), float(returns.std()), returns
 

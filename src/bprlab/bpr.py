@@ -161,7 +161,8 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
     encoder = build_encoder(dataset.state_dim, config.repr_dim, config.encoder_hidden, rng)
     predictor = PredictorModel.build(config.repr_dim, dataset.action_dim,
                                      config.predictor_hidden, rng)
-    params = [encoder.net.flat, predictor.net.flat]
+    # one buffer, one Adam state and one gradient vector for both nets
+    params = [numerics.share_buffer([encoder.net, predictor.net])]
     adam = numerics.AdamState.for_params(params, learning_rate=config.learning_rate)
     trace = np.zeros(config.steps)
     for step in range(config.steps):
@@ -171,8 +172,7 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
         )
         if not np.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite pretrain loss at step {step}")
-        numerics.adam_step(adam, params, [np.concatenate(enc_grads, axis=None),
-                                          np.concatenate(pred_grads, axis=None)])
+        numerics.adam_step(adam, params, [np.concatenate([*enc_grads, *pred_grads], axis=None)])
         trace[step] = loss
     encoder.freeze()
     return encoder, trace, predictor, n_dropped

@@ -48,6 +48,8 @@ class TabularMDP:
         row_sums = self.transition.sum(axis=2)
         if np.max(np.abs(row_sums - 1.0)) > 1e-9:
             raise RejectedInputError("transition rows must sum to 1")
+        if not (np.all(np.isfinite(self.reward)) and math.isfinite(self.r_max)):
+            raise RejectedInputError("reward entries and r_max must be finite")
         if np.max(np.abs(self.reward)) > self.r_max + _PROB_TOL:
             raise RejectedInputError("reward exceeds r_max")
         if abs(self.initial_dist.sum() - 1.0) > 1e-9:
@@ -151,14 +153,20 @@ def save_dataset(dataset: OfflineDataset, path: str) -> None:
     {"state_dim": int, "action_dim": int, "n": int, "behavior_tag": str}.
     Each of the n lines after it is one transition,
     {"s": [state_dim floats], "a": [action_dim floats], "r": float,
-     "s2": [state_dim floats], "d": 0 or 1}, with keys in that order. json
-    round-trips float64 exactly (repr is shortest-round-trip)."""
+     "s2": [state_dim floats], "d": 0 or 1}, with keys in that order. Floats
+    are written as repr writes them, as json.dumps does; repr is the shortest
+    string that round-trips the float64."""
     header = dict(zip(_HEADER_KEYS, (dataset.state_dim, dataset.action_dim,
                                      dataset.n, dataset.behavior_tag)))
     s, a, r, s2, d = dataset.arrays()
-    columns = (s.tolist(), a.tolist(), r.tolist(), s2.tolist(), d.astype(int).tolist())
-    lines = [json.dumps(header)] + [json.dumps(dict(zip(_ROW_KEYS, row))) for row in zip(*columns)]
-    atomic_write(path, "\n".join(lines) + "\n")
+
+    def floats(k):
+        return "[" + ", ".join(["%r"] * k) + "]"
+
+    row = (f'{{"s": {floats(dataset.state_dim)}, "a": {floats(dataset.action_dim)}, "r": %r, '
+           f'"s2": {floats(dataset.state_dim)}, "d": %d}}')
+    table = np.hstack([s, a, r[:, None], s2, d[:, None]]).tolist()
+    atomic_write(path, "\n".join([json.dumps(header)] + [row % tuple(x) for x in table]) + "\n")
 
 
 def load_dataset(path: str) -> OfflineDataset:
@@ -465,61 +473,127 @@ class PointMassEnv:
         p = rng.uniform(-1.0, 1.0, size=2)
         return np.concatenate([p, np.zeros(2)])
 
-    def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, float]:
-        a = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), -1.0), 1.0)
-        p, v = state[:2], state[2:]
+    @staticmethod
+    def _move(p: np.ndarray, v: np.ndarray, action: np.ndarray):
+        """(position, velocity) after one step; elementwise, so p, v and action
+        may be (..., 2) stacks."""
+        a = np.minimum(np.maximum(action, -1.0), 1.0)
         v = 0.9 * v + 0.1 * a
-        p = p + 0.05 * v
+        return p + 0.05 * v, v
+
+    def step(self, state: np.ndarray, action: np.ndarray) -> tuple[np.ndarray, float]:
+        p, v = self._move(state[:2], state[2:], np.asarray(action, dtype=np.float64))
         d = p - self.goal
         reward = -math.sqrt(d.dot(d))
         return np.concatenate([p, v]), reward
 
 
-def pointmass_behavior(name: str, env: PointMassEnv):
-    """Named behavior policies: (state, rng) -> action."""
+@dataclass(frozen=True, eq=False)
+class PointMassBehavior:
+    """A point-mass behavior policy, called as (state, rng) -> action.
+    With a gain it is the controller clip(gain * (goal - position)
+    - 0.2 * velocity + N(0, noise^2) per coordinate) and makes no draw at
+    noise 0; with gain None it draws each action uniformly from [-1, 1)^2."""
+    goal: np.ndarray
+    gain: float | None
+    noise: float
 
-    def controller(gain: float, noise: float):
-        def act(state, rng):
-            a = gain * (env.goal - state[:2]) - 0.2 * state[2:]
-            if noise > 0:
-                a = a + rng.normal(0.0, noise, size=2)
-            return np.minimum(np.maximum(a, -1.0), 1.0)
+    def __call__(self, state, rng):
+        if self.gain is None:
+            return rng.uniform(-1.0, 1.0, size=2)
+        a = self.gain * (self.goal - state[:2]) - 0.2 * state[2:]
+        if self.noise > 0:
+            a = a + rng.normal(0.0, self.noise, size=2)
+        return np.minimum(np.maximum(a, -1.0), 1.0)
 
-        return act
 
-    if name == "expert":
-        return controller(1.0, 0.05)
-    if name == "medium":
-        return controller(0.3, 0.3)
-    if name == "random":
-        return lambda state, rng: rng.uniform(-1.0, 1.0, size=2)
-    raise RejectedInputError(f"unknown point-mass behavior {name!r}")
+_POINTMASS_BEHAVIORS = {"expert": (1.0, 0.05), "medium": (0.3, 0.3), "random": (None, 0.0)}
+
+
+def pointmass_behavior(name: str, env: PointMassEnv) -> PointMassBehavior:
+    """The named behavior policy ("expert", "medium" or "random") for env's goal."""
+    if name not in _POINTMASS_BEHAVIORS:
+        raise RejectedInputError(f"unknown point-mass behavior {name!r}")
+    goal = np.array(env.goal, dtype=np.float64)
+    goal.setflags(write=False)
+    return PointMassBehavior(goal, *_POINTMASS_BEHAVIORS[name])
 
 
 def generate_pointmass_dataset(env: PointMassEnv, behavior, n: int, seed: int,
                                behavior_tag: str = "pointmass") -> OfflineDataset:
-    """behavior is (state, rng) -> action, or a list of (weight, fn) pairs
-    sampled per episode."""
+    """Log n rows of episodes of env.max_steps steps, the last one cut short.
+    behavior is a pointmass_behavior, or a list of (weight, pointmass_behavior)
+    pairs of which each episode draws one by weight.
+
+    Each episode's draws come from np.random.default_rng(seed) in this order:
+    the mixture draw (the index rng.choice(k, p=weights / weights.sum())
+    returns, found by bisecting its CDF at one rng.random() double), the
+    start position rng.uniform(-1, 1, size=2), and then one (steps, 2) block
+    of rng.normal(0, noise) or, for "random", rng.uniform(-1, 1) action
+    draws, the doubles that one call per step would give. All episodes are
+    then stepped together, and each row is bitwise what stepping that
+    episode alone with env.step gives. The files under tests/data/ pin the
+    bytes. Any other behavior, n < 1 and max_steps < 1 raise
+    RejectedInputError."""
+    try:
+        horizon = operator.index(env.max_steps)
+        n = operator.index(n)
+    except TypeError:
+        raise RejectedInputError("n and max_steps must be integers") from None
+    if n < 1 or horizon < 1:
+        raise RejectedInputError("n and max_steps must be positive")
+    cdf = None
+    options = [behavior]
+    if isinstance(behavior, list):
+        try:
+            weights = np.array([w for w, _ in behavior], dtype=np.float64)
+            options = [b for _, b in behavior]
+        except (TypeError, ValueError):
+            raise RejectedInputError("a behavior mixture is a list of (weight, behavior) "
+                                     "pairs") from None
+        if not (weights.size and np.all(weights >= 0) and 0.0 < weights.sum() < np.inf):
+            raise RejectedInputError("mixture weights must be non-negative with a finite, "
+                                     "positive sum")
+        cdf = _choice_cdf(weights / weights.sum(), "behavior mixture")
+    if not all(isinstance(b, PointMassBehavior) for b in options):
+        raise RejectedInputError("point-mass behaviors must come from pointmass_behavior")
+
     rng = np.random.default_rng(seed)
-    mixture = isinstance(behavior, list)
-    rows = []
-    while len(rows) < n:
-        if mixture:
-            weights = np.array([w for w, _ in behavior])
-            idx = rng.choice(len(behavior), p=weights / weights.sum())
-            act = behavior[idx][1]
-        else:
-            act = behavior
-        s = env.reset(rng)
-        for step in range(env.max_steps):
-            a = act(s, rng)
-            s2, r = env.step(s, a)
-            done = step == env.max_steps - 1
-            rows.append((s, a, r, s2, done))
-            if len(rows) >= n:
-                break
-            s = s2
-    return OfflineDataset(env.state_dim, env.action_dim, *zip(*rows), behavior_tag)
+    n_episodes = -(-n // horizon)
+    episodes, start = [], np.empty((n_episodes, 2))
+    draws = np.zeros((n_episodes, horizon, 2))
+    for e in range(n_episodes):
+        b = options[0] if cdf is None else options[bisect_right(cdf, rng.random())]
+        start[e] = rng.uniform(-1.0, 1.0, size=2)
+        steps = min(horizon, n - e * horizon)
+        if b.gain is None:
+            draws[e, :steps] = rng.uniform(-1.0, 1.0, size=(steps, 2))
+        elif b.noise > 0:
+            draws[e, :steps] = rng.normal(0.0, b.noise, size=(steps, 2))
+        episodes.append(b)
+
+    uniform = np.array([b.gain is None for b in episodes])[:, None]
+    noisy = np.array([b.noise > 0 for b in episodes])[:, None]
+    gain = np.array([b.gain or 0.0 for b in episodes])[:, None]
+    goal = np.array([b.goal for b in episodes])
+    pos = np.empty((n_episodes, horizon + 1, 2))
+    vel = np.empty((n_episodes, horizon + 1, 2))
+    actions = np.empty((n_episodes, horizon, 2))
+    pos[:, 0], vel[:, 0] = start, 0.0
+    for t in range(horizon):
+        p, v = pos[:, t], vel[:, t]
+        a = gain * (goal - p) - 0.2 * v
+        a = np.minimum(np.maximum(np.where(noisy, a + draws[:, t], a), -1.0), 1.0)
+        actions[:, t] = a = np.where(uniform, draws[:, t], a)
+        pos[:, t + 1], vel[:, t + 1] = env._move(p, v, a)
+    # d @ d per row as a stacked (1, 2) @ (2, 1) matmul: the dot product env.step takes
+    d = (pos[:, 1:] - env.goal).reshape(-1, 1, 2)[:n]
+    rewards = -np.sqrt((d @ d.transpose(0, 2, 1)).ravel())
+    states = np.concatenate([pos[:, :-1], vel[:, :-1]], axis=2).reshape(-1, 4)[:n]
+    next_states = np.concatenate([pos[:, 1:], vel[:, 1:]], axis=2).reshape(-1, 4)[:n]
+    dones = np.arange(n) % horizon == horizon - 1
+    return OfflineDataset(env.state_dim, env.action_dim, states, actions.reshape(-1, 2)[:n],
+                          rewards, next_states, dones, behavior_tag)
 
 
 def generate_dataset(env_or_mdp, behavior, n: int, seed: int, behavior_tag: str = "") -> OfflineDataset:

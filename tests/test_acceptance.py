@@ -243,6 +243,7 @@ def test_criterion_6_pessimistic_lower_bound_tabular():
     report(6, f"(precondition held in {held}/100, slack >= -1e-9 in {held}/{held})")
 
 
+@pytest.mark.slow
 def test_criterion_7_pretraining_speedup(pointmass_setup):
     env, dataset, encoder, expert_ret, random_ret, pretrain_seconds = pointmass_setup
     t0 = time.time()
@@ -282,6 +283,7 @@ def test_criterion_7_pretraining_speedup(pointmass_setup):
               f"final scores {norm_bpr:.2f} vs {norm_scratch:.2f}, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_effective_dimension_ordering(pointmass_setup):
     env, dataset, encoder, _, _, _ = pointmass_setup
     probe = analysis.make_probe_batch(dataset, 512, seed=0)

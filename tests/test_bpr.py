@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -176,6 +177,25 @@ class TestPretrain:
             write(enc)
         assert isinstance(info.value, BprlabError)
         assert enc.param_hash() == before
+
+    def test_encoder_and_predictor_share_one_buffer_and_freeze_covers_the_encoder(self):
+        ds = small_dataset(100)
+        enc, _, pred, _ = bpr.pretrain(ds, bpr.PretrainConfig(steps=5, **self.CFG))
+        assert enc.net.flat.base is pred.net.flat.base is not None
+        assert not any(p.flags.writeable for p in (enc.net.flat, *enc.net.parameters()))
+        assert pred.net.flat.flags.writeable
+
+    def test_checkpoint_bytes_are_pinned(self):
+        # digests of the release that kept separate encoder and predictor Adam
+        # states: one joint buffer must not change a single bit
+        ds = small_dataset(400)
+        enc, trace, pred, _ = bpr.pretrain(ds, bpr.PretrainConfig(steps=200, seed=5, **self.CFG))
+        digests = [hashlib.sha256(b).hexdigest() for b in (
+            numerics.checkpoint_bytes(enc.net), trace.tobytes(), pred.net.flat.tobytes())]
+        assert digests == [
+            "4220b5b4519d2fd385f3e392172141f12c6506870a24d3063941dd045432890d",
+            "0836ca542169833a97f3cb4c7ea83bb80b602fb111821e37e9f1b923df99fa46",
+            "088278ea6f669ddefcca817054afbe7659d4fe54d0b2490de1593ba99ad2b998"]
 
     def test_zero_steps_returns_initial_frozen_encoder(self):
         ds = small_dataset(100)

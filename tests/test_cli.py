@@ -42,7 +42,10 @@ class TestGenData:
          ["--task", "gridworld", "--behavior", "eps_greedy:0.3", "--n", "50"]),
         ("pointmass-mixture-20.jsonl",
          ["--task", "pointmass", "--behavior", "mixture:expert:0.5,medium:0.5", "--n", "20"]),
-    ], ids=["gridworld", "pointmass"])
+        # four episodes, the last cut short: episode boundaries and mixture draws
+        ("pointmass-mixture-350.jsonl",
+         ["--task", "pointmass", "--behavior", "mixture:expert:0.5,medium:0.5", "--n", "350"]),
+    ], ids=["gridworld", "pointmass", "pointmass-episodes"])
     def test_rebuilds_the_pinned_files_byte_for_byte(self, workdir, name, argv):
         assert run(["gen-data", *argv, "--seed", "0", "--name", name, "--out", "."]) == EXIT_OK
         assert (workdir / name).read_bytes() == (DATA_DIR / name).read_bytes()

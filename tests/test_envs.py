@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,39 @@ class TestExactEvaluation:
         from bprlab.agents import evaluate_return_tabular
         mean, std, returns = evaluate_return_tabular(mdp, policy, 3000, seed=0, horizon=200)
         assert abs(mean - j) < 4.0 * std / np.sqrt(len(returns))
+
+    @staticmethod
+    def reference_return_tabular(mdp, policy, episodes, seed, horizon):
+        """The Generator.choice loop that evaluate_return_tabular must match bit for bit."""
+        rng = np.random.default_rng(seed)
+        returns = np.zeros(episodes)
+        for ep in range(episodes):
+            s = rng.choice(mdp.n_states, p=mdp.initial_dist)
+            total, disc = 0.0, 1.0
+            for _ in range(horizon):
+                if mdp.terminal[s]:
+                    break
+                a = rng.choice(mdp.n_actions, p=policy.probs[s])
+                total += disc * mdp.reward[s, a]
+                disc *= mdp.discount
+                s = rng.choice(mdp.n_states, p=mdp.transition[s, a])
+            returns[ep] = total
+        return returns
+
+    @pytest.mark.parametrize("case", ["random-mdp", "gridworld", "counterexample"])
+    def test_monte_carlo_returns_equal_the_choice_loop(self, case):
+        from bprlab.agents import evaluate_return_tabular
+        rng = np.random.default_rng(3)
+        mdp, policy = {
+            "random-mdp": lambda: (envs.random_mdp(4, 2, rng, discount=0.8),
+                                   envs.TabularPolicy(rng.dirichlet(np.ones(2), size=4))),
+            "gridworld": lambda: (envs.make_gridworld(), envs.TabularPolicy.uniform(25, 4)),
+            "counterexample": lambda: (envs.build_counterexample()[0],
+                                       envs.TabularPolicy.uniform(3, 2)),
+        }[case]()
+        _, _, returns = evaluate_return_tabular(mdp, policy, 60, seed=4, horizon=50)
+        want = self.reference_return_tabular(mdp, policy, 60, 4, 50)
+        assert returns.tobytes() == want.tobytes()
 
     def test_gamma_one_with_cycles_rejected(self):
         rng = np.random.default_rng(3)
@@ -162,13 +196,17 @@ class TestDatasetIO:
         with pytest.raises(RejectedInputError):
             envs.load_dataset(str(path))
 
-    # Written by the release that stored datasets as per-row objects; the
-    # digests are bpr.dataset_hash of the datasets as that release loaded them.
+    # Written by earlier releases: the first two by the one that stored datasets
+    # as per-row objects, the 350-row file by the one that generated point-mass
+    # data row by row. The digests are bpr.dataset_hash of the datasets as the
+    # writing release loaded them.
     @pytest.mark.parametrize("name, digest", [
         ("pointmass-mixture-20.jsonl",
          "b02c8fd848f79382cf31aaf1ef949017e25c8f8ed3aba40b1f3d7d26f78c0ca8"),
         ("gridworld-eps0.3-50.jsonl",
          "5fdee79d68d944286e1bf501f0396fa3ecd43283ce6f1d64590e1318c7c5eb35"),
+        ("pointmass-mixture-350.jsonl",
+         "221032855d3fe5c9423b42c29c6117619818306e5a49c789566f6d9d8fe240c8"),
     ])
     def test_old_files_load_and_resave_byte_for_byte(self, tmp_path, name, digest):
         original = DATA_DIR / name
@@ -437,6 +475,109 @@ class TestPointMass:
             np.testing.assert_array_equal(x, y)
 
 
+class TestPointMassGenerationMatchesLoop:
+    @staticmethod
+    def reference_generate_pointmass(env, behavior, n, seed, behavior_tag="pointmass"):
+        """The per-row loop that generate_pointmass_dataset must match bit for bit.
+        It steps with env.step, whose dynamics the generator shares; the pinned
+        files under tests/data/ and test_step_dynamics check those."""
+        rng = np.random.default_rng(seed)
+        mixture = isinstance(behavior, list)
+        rows = []
+        while len(rows) < n:
+            if mixture:
+                weights = np.array([w for w, _ in behavior])
+                idx = rng.choice(len(behavior), p=weights / weights.sum())
+                act = behavior[idx][1]
+            else:
+                act = behavior
+            s = env.reset(rng)
+            for step in range(env.max_steps):
+                a = act(s, rng)
+                s2, r = env.step(s, a)
+                done = step == env.max_steps - 1
+                rows.append((s, a, r, s2, done))
+                if len(rows) >= n:
+                    break
+                s = s2
+        return envs.OfflineDataset(env.state_dim, env.action_dim, *zip(*rows), behavior_tag)
+
+    @staticmethod
+    def behavior(case, env):
+        named = {name: envs.pointmass_behavior(name, env) for name in ("expert", "medium", "random")}
+        if case == "medex":
+            return [(0.5, named["expert"]), (0.5, named["medium"])]
+        if case == "weighted":
+            return [(1, named["random"]), (0.0, named["expert"]), (3, named["medium"])]
+        return named[case]
+
+    @pytest.mark.parametrize("case, n, seed, goal, max_steps", [
+        ("expert", 999, 0, None, 100),
+        ("medium", 137, 3, None, 100),
+        ("random", 50, 1, None, 100),
+        ("medex", 20_000, 0, None, 100),  # criteria 7 and 8
+        ("medex", 1, 4, None, 100),
+        ("medex", 999, 5, None, 100),
+        ("weighted", 999, 6, None, 100),
+        ("weighted", 137, 7, (0.3, -0.2), 30),
+        ("expert", 137, 8, (0.3, -0.2), 30),
+        ("random", 999, 9, (1.5, 2.0), 7),
+        ("medium", 50, 10, None, 1),
+        ("medex", 20_000, 11, (-0.5, 0.25), 250),
+    ], ids=["expert", "medium", "random", "medex-20000", "medex-one-row", "medex", "weighted",
+            "weighted-goal", "expert-goal", "random-far-goal", "one-step-episodes",
+            "medex-20000-goal"])
+    def test_equals_the_per_row_loop(self, case, n, seed, goal, max_steps):
+        env = envs.PointMassEnv(max_steps=max_steps)
+        if goal is not None:
+            env.goal = np.array(goal)
+        behavior = self.behavior(case, env)
+        got = envs.generate_pointmass_dataset(env, behavior, n, seed, "t")
+        want = self.reference_generate_pointmass(env, behavior, n, seed, "t")
+        assert got.n == n
+        assert TestTabularGenerationMatchesChoice.same(got, want)
+
+    def test_behavior_is_a_frozen_callable(self):
+        env = envs.PointMassEnv()
+        expert = envs.pointmass_behavior("expert", env)
+        assert (expert.gain, expert.noise) == (1.0, 0.05)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            expert.gain = 2.0
+        a = expert(np.array([0.5, -0.5, 0.1, 0.0]), np.random.default_rng(0))
+        assert a.shape == (2,) and np.all(np.abs(a) <= 1.0)
+
+    @pytest.mark.parametrize("behavior", [
+        lambda s, rng: np.zeros(2),
+        "expert-in-a-lambda",
+        [(1.0, lambda s, rng: np.zeros(2))],
+        [],
+        [(-1.0, "expert"), (2.0, "medium")],
+        [(np.nan, "expert")],
+        [(0.0, "expert")],
+        [(np.inf, "expert")],
+        [("expert",)],
+    ], ids=["lambda", "wrapped-named", "lambda-in-mixture", "empty-mixture", "negative-weight",
+            "nan-weight", "zero-weights", "inf-weight", "not-a-pair"])
+    def test_other_behaviors_are_rejected(self, behavior):
+        env = envs.PointMassEnv()
+        expert = envs.pointmass_behavior("expert", env)
+        named = lambda b: envs.pointmass_behavior(b, env) if isinstance(b, str) else b
+        if behavior == "expert-in-a-lambda":
+            behavior = lambda s, rng: expert(s, rng)
+        elif isinstance(behavior, list):
+            behavior = [tuple(named(x) for x in pair) for pair in behavior]
+        with pytest.raises(RejectedInputError):
+            envs.generate_pointmass_dataset(env, behavior, 10, 0)
+
+    @pytest.mark.parametrize("n, max_steps", [(0, 100), (10, 0), (10, 2.5)],
+                             ids=["no-rows", "empty-episodes", "fractional-episodes"])
+    def test_bad_sizes_are_rejected(self, n, max_steps):
+        # max_steps = 0 logged no row per episode, so the per-row loop never ended
+        env = envs.PointMassEnv(max_steps=max_steps)
+        with pytest.raises(RejectedInputError):
+            envs.generate_pointmass_dataset(env, envs.pointmass_behavior("random", env), n, 0)
+
+
 class TestValidation:
     @pytest.mark.parametrize("column, row", [
         (0, 0.4 * np.eye(3)[0] + 0.6 * np.eye(3)[2]),
@@ -465,6 +606,17 @@ class TestValidation:
         with pytest.raises(RejectedInputError):
             envs.TabularMDP(1, 1, t, np.array([[2.0]]), np.array([1.0]), 0.9, 1.0,
                             np.zeros(1, dtype=bool))
+
+    def test_nan_reward_rejected(self):
+        # |nan| > r_max is false, so the r_max check alone let it through
+        with pytest.raises(RejectedInputError, match="reward entries"):
+            envs.TabularMDP(2, 1, np.full((2, 1, 2), 0.5), np.array([[np.nan], [0.0]]),
+                            np.array([1.0, 0.0]), 0.9, 1.0, np.zeros(2, dtype=bool))
+
+    def test_nan_r_max_rejected(self):
+        with pytest.raises(RejectedInputError, match="r_max must be finite"):
+            envs.TabularMDP(2, 1, np.full((2, 1, 2), 0.5), np.zeros((2, 1)),
+                            np.array([1.0, 0.0]), 0.9, float("nan"), np.zeros(2, dtype=bool))
 
     def test_policy_rows_must_normalize(self):
         with pytest.raises(RejectedInputError):
