@@ -144,7 +144,7 @@ def cql_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
     n = x.shape[0]
     qv, qcache = numerics.forward(q.net, np.concatenate([x, y], axis=1))
     loss = float(-qv[:, 0].mean())
-    _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -1.0 / n))
+    _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -1.0 / n), param_grads=False)
     gy = gqin[:, x.shape[1]:]
     grads, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
     return loss, grads
@@ -165,7 +165,7 @@ def td3bc_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
         lam = alpha / max(np.mean(np.abs(qv[:, 0])), 1e-8)
     diff = y - a
     loss = float(-lam * qv[:, 0].mean() + np.sum(diff * diff, axis=1).mean())
-    _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -lam / n))
+    _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -lam / n), param_grads=False)
     gy = gqin[:, x.shape[1]:] + 2.0 * diff / n
     grads, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
     return loss, grads

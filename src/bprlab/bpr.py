@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .envs import OfflineDataset, atomic_write
+from .envs import OfflineDataset, atomic_write, row_blocks
 from .errors import (
     ContractViolationError,
     RejectedInputError,
@@ -60,8 +60,18 @@ class EncoderModel:
         return self.net.output_dim
 
     def encode(self, state: np.ndarray) -> np.ndarray:
-        z, _ = numerics.forward(self.net, state)
-        return z
+        """The representation of one state or of a batch of rows. A batch of more
+        than ROW_BLOCK rows runs in near-equal blocks (envs.row_blocks) into one
+        output array, so the hidden activations it holds at once are those of
+        one block; every output byte equals that of a one-pass forward."""
+        blocks = row_blocks(len(state)) if np.ndim(state) == 2 else []
+        if len(blocks) < 2:
+            return numerics.forward(self.net, state)[0]
+        out = np.empty((len(state), self.repr_dim))
+        for b in blocks:
+            # [0] drops the block's cache before the next block runs
+            out[b] = numerics.forward(self.net, state[b])[0]
+        return out
 
     def param_hash(self) -> str:
         return hashlib.sha256(self.net.flat.tobytes()).hexdigest()
@@ -120,18 +130,6 @@ def bpr_loss(prediction: np.ndarray, action: np.ndarray,
     return loss, grad
 
 
-def unnormalized_bc_loss(prediction: np.ndarray, action: np.ndarray) -> float:
-    """Plain squared error ||y - a||^2 (per-sample mean on batches)."""
-    y = np.asarray(prediction, dtype=np.float64)
-    a = np.asarray(action, dtype=np.float64)
-    if y.shape != a.shape:
-        raise RejectedInputError("prediction/action shape mismatch")
-    diff = y - a
-    if y.ndim == 1:
-        return float(np.sum(diff * diff))
-    return float(np.sum(diff * diff, axis=1).mean())
-
-
 def bpr_batch_grads(encoder: EncoderModel, predictor: PredictorModel,
                     states: np.ndarray, actions: np.ndarray,
                     min_action_norm: float = 1e-6):
@@ -181,7 +179,7 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
 def dataset_hash(dataset: OfflineDataset) -> str:
     h = hashlib.sha256()
     for arr in dataset.arrays():
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.ascontiguousarray(arr))  # hashes the buffer in place, no copy
     return h.hexdigest()
 
 

@@ -3,12 +3,14 @@ dataset generation, and the two-state state-collapse counterexample."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 import os
 import tempfile
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,11 @@ from .errors import (
 )
 
 _PROB_TOL = 1e-12
+
+# Rows per block of every dataset-sized pass (EncoderModel.encode, save_dataset,
+# load_dataset): a pass holds one block's temporaries at a time, so its memory
+# beyond its result is O(ROW_BLOCK), not O(rows).
+ROW_BLOCK = 2048
 
 
 @dataclass
@@ -133,14 +140,25 @@ class OfflineDataset:
         return self.states, self.actions, self.rewards, self.next_states, self.dones
 
 
-def atomic_write(path: str, data: str | bytes) -> None:
-    """Write via temp file + rename so interrupted runs never truncate."""
+def row_blocks(n: int) -> list[slice]:
+    """Slices covering range(n) in ceil(n / ROW_BLOCK) near-equal blocks, each
+    of more than ROW_BLOCK / 2 rows when n > ROW_BLOCK. Near-equal rather than
+    full blocks and a short tail: OpenBLAS picks other kernels for small row
+    counts, so a few-row block of a matmul can round differently from the
+    one-pass matmul (tests/test_bpr.py pins the one-pass bytes)."""
+    k = max(1, -(-n // ROW_BLOCK))
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def atomic_write(path: str, data: str | bytes | Iterable[str]) -> None:
+    """Write via temp file + rename so interrupted runs never truncate. data is
+    one str or bytes, or an iterable of str chunks written in order."""
     mode = "wb" if isinstance(data, bytes) else "w"
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, mode) as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, (str, bytes)) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,7 +173,8 @@ def save_dataset(dataset: OfflineDataset, path: str) -> None:
     {"s": [state_dim floats], "a": [action_dim floats], "r": float,
      "s2": [state_dim floats], "d": 0 or 1}, with keys in that order. Floats
     are written as repr writes them, as json.dumps does; repr is the shortest
-    string that round-trips the float64."""
+    string that round-trips the float64. Rows are formatted and written one
+    block (row_blocks) at a time."""
     header = dict(zip(_HEADER_KEYS, (dataset.state_dim, dataset.action_dim,
                                      dataset.n, dataset.behavior_tag)))
     s, a, r, s2, d = dataset.arrays()
@@ -164,23 +183,36 @@ def save_dataset(dataset: OfflineDataset, path: str) -> None:
         return "[" + ", ".join(["%r"] * k) + "]"
 
     row = (f'{{"s": {floats(dataset.state_dim)}, "a": {floats(dataset.action_dim)}, "r": %r, '
-           f'"s2": {floats(dataset.state_dim)}, "d": %d}}')
-    table = np.hstack([s, a, r[:, None], s2, d[:, None]]).tolist()
-    atomic_write(path, "\n".join([json.dumps(header)] + [row % tuple(x) for x in table]) + "\n")
+           f'"s2": {floats(dataset.state_dim)}, "d": %d}}\n')
+
+    def chunks():
+        yield json.dumps(header) + "\n"
+        for b in row_blocks(dataset.n):
+            table = np.hstack([s[b], a[b], r[b, None], s2[b], d[b, None]]).tolist()
+            yield "".join([row % tuple(x) for x in table])
+
+    atomic_write(path, chunks())
 
 
 def load_dataset(path: str) -> OfflineDataset:
-    """Read a save_dataset file. Any malformed header, line or value raises
-    RejectedInputError."""
+    """Read a save_dataset file, parsing ROW_BLOCK lines at a time into column
+    blocks. Any malformed header, line or value raises RejectedInputError."""
     try:
         with open(path) as fh:
-            header, *rows = [json.loads(line) for line in fh if line.strip()]
-        state_dim, action_dim, n, tag = (header[k] for k in _HEADER_KEYS)
-        columns = [np.array([row[k] for row in rows]) for k in _ROW_KEYS]
+            lines = (line for line in fh if line.strip())
+            header = json.loads(next(lines, ""))
+            state_dim, action_dim, n, tag = (header[k] for k in _HEADER_KEYS)
+            rows, blocks = 0, []
+            while block := [json.loads(line) for line in itertools.islice(lines, ROW_BLOCK)]:
+                rows += len(block)
+                blocks.append([np.array([row[k] for row in block]) for k in _ROW_KEYS])
+        columns = [np.concatenate(col) for col in zip(*blocks)]
     except (KeyError, TypeError, ValueError) as exc:
         raise RejectedInputError(f"{path}: malformed dataset file: {exc!r}") from None
-    if len(rows) != n:
-        raise RejectedInputError(f"{path}: header n={n!r} but the file holds {len(rows)} rows")
+    if rows != n:
+        raise RejectedInputError(f"{path}: header n={n!r} but the file holds {rows} rows")
+    if not rows:
+        raise RejectedInputError(f"{path}: dataset has no rows")
     if any(col.dtype.kind not in "iuf" for col in columns):
         raise RejectedInputError(f"{path}: a transition holds a non-numeric value")
     if not np.isin(columns[4], (0, 1)).all():

@@ -164,10 +164,12 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
 
 
 def backward(
-    model: MlpModel, cache: ForwardCache, output_gradient: np.ndarray, input_grad: bool = True
-) -> tuple[list[np.ndarray], np.ndarray | None]:
+    model: MlpModel, cache: ForwardCache, output_gradient: np.ndarray, input_grad: bool = True,
+    param_grads: bool = True,
+) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Returns (gradients in parameters() order, gradient w.r.t. the input).
-    With input_grad=False the input gradient is not computed and is None."""
+    With input_grad=False the input gradient is not computed and is None; with
+    param_grads=False the parameter gradients are not computed and are None."""
     if cache.model_id != id(model) or len(cache.inputs) != len(model.layers):
         raise ContractViolationError("cache does not match this model/forward call")
     gy = np.asarray(output_gradient, dtype=np.float64)
@@ -175,7 +177,7 @@ def backward(
         gy = gy[None, :]
     if gy.shape != (cache.inputs[0].shape[0], model.output_dim):
         raise ContractViolationError("output gradient shape mismatch")
-    grads: list[np.ndarray] = [None] * (2 * len(model.layers))
+    grads: list[np.ndarray] | None = [None] * (2 * len(model.layers)) if param_grads else None
     # each layer's activation output; relu(z) > 0 exactly where z > 0
     outputs = cache.inputs[1:] + [cache.output]
     g = gy
@@ -191,11 +193,18 @@ def backward(
             gz *= g
         else:
             gz = g
-        grads[2 * i] = gz.T @ cache.inputs[i]
-        grads[2 * i + 1] = gz.sum(axis=0)
+        if param_grads:
+            grads[2 * i] = gz.T @ cache.inputs[i]
+            grads[2 * i + 1] = gz.sum(axis=0)
         if i == 0 and not input_grad:
             return grads, None
-        g = gz @ layer.weight
+        if layer.weight.shape[0] == 1:
+            # an outer product, which numpy's k=1 matmul computes slowly; the
+            # matmul's sum turns a -0.0 product into +0.0, and so does + 0.0
+            g = gz * layer.weight
+            g += 0.0
+        else:
+            g = gz @ layer.weight
     return grads, (g[0] if cache.single else g)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,18 +120,6 @@ class TestLossGradients:
             assert abs(fd - analytic[i]) < 1e-5 * max(1.0, abs(fd))
 
 
-class TestUnnormalizedLoss:
-    def test_is_squared_error(self):
-        assert bpr.unnormalized_bc_loss(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == 5.0
-
-    def test_not_scale_invariant(self):
-        y = np.array([1.0, 0.0])
-        a = np.array([0.5, 0.0])
-        l1 = bpr.unnormalized_bc_loss(y, a)
-        l2 = bpr.unnormalized_bc_loss(y, 10 * a)
-        assert l1 != l2
-
-
 class TestFiltering:
     def test_drops_below_threshold(self):
         actions = np.array([[1.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
@@ -245,6 +234,28 @@ class TestEncoderArtifacts:
         assert manifest["schema_version"] == 1
         assert manifest["repr_dim"] == 8
         assert manifest["dataset_hash"] == bpr.dataset_hash(ds)
+
+    @pytest.mark.parametrize("n", [envs.ROW_BLOCK - 1, envs.ROW_BLOCK + 1,
+                                   2 * envs.ROW_BLOCK + 1, 20_000])
+    def test_blocked_encode_equals_one_forward_pass(self, n):
+        enc = bpr.build_encoder(4, 64, (256, 256), np.random.default_rng(0)).freeze()
+        x = np.random.default_rng(n).normal(size=(n, 4))
+        want, _ = numerics.forward(enc.net, x)
+        assert enc.encode(x).tobytes() == want.tobytes()
+        assert enc.encode(x[0]).tobytes() == numerics.forward(enc.net, x[0])[0].tobytes()
+
+    def test_encode_memory_is_bounded_by_a_block(self):
+        # one pass over 20 000 rows holds two (20 000, 256) hidden activations,
+        # 82 MB, to return 10 MB; one block's activations are 8 MB
+        enc = bpr.build_encoder(4, 64, (256, 256), np.random.default_rng(0)).freeze()
+        x = np.random.default_rng(1).normal(size=(20_000, 4))
+        tracemalloc.start()
+        try:
+            z = enc.encode(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * z.nbytes
 
     def test_param_hash_changes_with_weights(self):
         rng = np.random.default_rng(0)

@@ -213,26 +213,34 @@ def _without(record, key):
     return {k: v for k, v in record.items() if k != key}
 
 
-@pytest.mark.parametrize("header, rows", [
-    (_without(_HEADER, "state_dim"), [_ROW]),
-    (_without(_HEADER, "action_dim"), [_ROW]),
-    (_without(_HEADER, "n"), [_ROW]),
-    (_without(_HEADER, "behavior_tag"), [_ROW]),
-    ("{not json", [_ROW]),
-    (_HEADER, ["{not json"]),
-    (_HEADER, [_without(_ROW, "r")]),
-    (_HEADER, [{**_ROW, "s": [0.0, 1.0]}]),
-    (_HEADER, [{**_ROW, "a": [1.0, 1.0]}]),
-    (_HEADER, [{**_ROW, "s2": []}]),
-    (_HEADER, [{**_ROW, "r": "one"}]),
-    (_HEADER, [{**_ROW, "s": [None]}]),
-    (_HEADER, [{**_ROW, "d": 2}]),
-    ({**_HEADER, "n": 2}, [_ROW]),
-    ({**_HEADER, "n": 2}, [_ROW, {**_ROW, "s": [[0.0]]}]),
-], ids=["no-state_dim", "no-action_dim", "no-n", "no-behavior_tag", "bad-header-json",
-        "bad-row-json", "row-missing-r", "wide-s", "wide-a", "narrow-s2", "string-r",
-        "null-s", "done-2", "n-mismatch", "ragged-s"])
-def test_malformed_dataset_is_usage_error(workdir, capsys, header, rows):
+_MALFORMED = {
+    "no-state_dim": (_without(_HEADER, "state_dim"), [_ROW]),
+    "no-action_dim": (_without(_HEADER, "action_dim"), [_ROW]),
+    "no-n": (_without(_HEADER, "n"), [_ROW]),
+    "no-behavior_tag": (_without(_HEADER, "behavior_tag"), [_ROW]),
+    "bad-header-json": ("{not json", [_ROW]),
+    "bad-row-json": (_HEADER, ["{not json"]),
+    "row-missing-r": (_HEADER, [_without(_ROW, "r")]),
+    "wide-s": (_HEADER, [{**_ROW, "s": [0.0, 1.0]}]),
+    "wide-a": (_HEADER, [{**_ROW, "a": [1.0, 1.0]}]),
+    "narrow-s2": (_HEADER, [{**_ROW, "s2": []}]),
+    "string-r": (_HEADER, [{**_ROW, "r": "one"}]),
+    "null-s": (_HEADER, [{**_ROW, "s": [None]}]),
+    "done-2": (_HEADER, [{**_ROW, "d": 2}]),
+    "n-mismatch": ({**_HEADER, "n": 2}, [_ROW]),
+    "ragged-s": ({**_HEADER, "n": 2}, [_ROW, {**_ROW, "s": [[0.0]]}]),
+}
+
+
+# good_rows valid rows before the case's own rows put its bad line after the
+# first block that load_dataset reads
+@pytest.mark.parametrize("header, rows, good_rows", [
+    pytest.param(header, rows, good_rows, id=name + ("-after-first-block" if good_rows else ""))
+    for name, (header, rows) in _MALFORMED.items() for good_rows in (0, envs.ROW_BLOCK)])
+def test_malformed_dataset_is_usage_error(workdir, capsys, header, rows, good_rows):
+    if isinstance(header, dict) and "n" in header:
+        header = {**header, "n": header["n"] + good_rows}
+    rows = [_ROW] * good_rows + rows
     lines = [x if isinstance(x, str) else json.dumps(x) for x in (header, *rows)]
     (workdir / "bad.jsonl").write_text("\n".join(lines) + "\n")
     assert run(["train", "--task", "pointmass", "--dataset", "bad.jsonl",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,28 @@ class TestDatasetIO:
             np.testing.assert_array_equal(a, b)
         assert ds2.behavior_tag == "t" and ds2.n == 137
 
+    @pytest.mark.parametrize("task", ["pointmass", "gridworld"])
+    def test_round_trip_across_row_blocks_is_byte_identical(self, tmp_path, task):
+        n = 2 * envs.ROW_BLOCK + 1
+        if task == "pointmass":
+            env = envs.PointMassEnv()
+            ds = envs.generate_dataset(env, envs.pointmass_behavior("medium", env), n, 4)
+        else:
+            ds = envs.generate_tabular_dataset(envs.make_gridworld(),
+                                               envs.TabularPolicy.uniform(25, 4), n, seed=4)
+        path = tmp_path / "d.jsonl"
+        envs.save_dataset(ds, str(path))
+        header = {"state_dim": ds.state_dim, "action_dim": ds.action_dim, "n": n,
+                  "behavior_tag": ds.behavior_tag}
+        rows = [json.dumps({"s": s.tolist(), "a": a.tolist(), "r": float(r),
+                            "s2": s2.tolist(), "d": int(d)}) for s, a, r, s2, d in zip(*ds.arrays())]
+        assert path.read_text() == "\n".join([json.dumps(header), *rows]) + "\n"
+        loaded = envs.load_dataset(str(path))
+        for a, b in zip(ds.arrays(), loaded.arrays()):
+            assert a.tobytes() == b.tobytes()
+        envs.save_dataset(loaded, str(tmp_path / "again.jsonl"))
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
     def test_save_is_deterministic(self, tmp_path):
         env = envs.PointMassEnv()
         ds = envs.generate_dataset(env, envs.pointmass_behavior("random", env), 50, 1)
@@ -193,6 +216,14 @@ class TestDatasetIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"state_dim": 1, "action_dim": 1, "n": 2, "behavior_tag": ""}\n'
                         '{"s": [0.0], "a": [1.0], "r": 0.0, "s2": [0.0], "d": 1}\n')
+        with pytest.raises(RejectedInputError):
+            envs.load_dataset(str(path))
+
+    @pytest.mark.parametrize("text", ["", "\n\n", '{"state_dim": 1, "action_dim": 1, "n": 0, '
+                                      '"behavior_tag": ""}\n'], ids=["empty", "blank", "n-0"])
+    def test_file_without_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
         with pytest.raises(RejectedInputError):
             envs.load_dataset(str(path))
 

@@ -85,6 +85,39 @@ class TestForwardBackward:
             # BLAS may order the sums differently for (1, d) vs (n, d)
             np.testing.assert_allclose(ys, yb[i], atol=1e-14)
 
+    def test_scalar_head_input_gradient_equals_the_matmul_with_signed_zeros(self):
+        # backward forms a width-1 layer's input gradient as an outer product;
+        # it must keep the bytes of gz @ weight, where a -0.0 product sums to +0.0
+        rng = np.random.default_rng(6)
+        for trial in range(50):
+            n, h = int(rng.integers(1, 300)), int(rng.integers(1, 70))
+            model = numerics.init_mlp([h, 1], ["identity"], rng)
+            gy = rng.normal(size=(n, 1))
+            for arr in (gy, model.layers[0].weight):
+                zeros = rng.random(arr.shape) < 0.3
+                arr[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            _, cache = numerics.forward(model, rng.normal(size=(n, h)))
+            _, gx = numerics.backward(model, cache, gy)
+            assert gx.tobytes() == (gy @ model.layers[0].weight).tobytes()
+        # -0.0 times a positive weight is -0.0, but the gradient entry is +0.0
+        model = numerics.init_mlp([3, 1], ["identity"], rng)
+        model.layers[0].weight[...] = [[1.0, -0.0, 0.0]]
+        _, cache = numerics.forward(model, np.zeros((2, 3)))
+        _, gx = numerics.backward(model, cache, np.array([[-0.0], [0.0]]))
+        assert (gx == 0).all() and not np.signbit(gx).any()
+
+    def test_skipped_gradients_leave_the_others_unchanged(self):
+        rng = np.random.default_rng(7)
+        model = numerics.init_mlp([5, 8, 8, 1], ["relu", "tanh", "identity"], rng)
+        _, cache = numerics.forward(model, rng.normal(size=(16, 5)))
+        gy = rng.normal(size=(16, 1))
+        grads, gx = numerics.backward(model, cache, gy)
+        no_params, gx_only = numerics.backward(model, cache, gy, param_grads=False)
+        grads_only, no_input = numerics.backward(model, cache, gy, input_grad=False)
+        assert no_params is None and no_input is None
+        assert gx_only.tobytes() == gx.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads_only, grads))
+
     def test_cache_from_other_model_rejected(self):
         rng = np.random.default_rng(3)
         m1 = numerics.init_mlp([2, 3, 1], ["relu", "identity"], rng)
