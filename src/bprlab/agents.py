@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .bpr import EncoderModel, PredictorModel, bpr_loss, build_encoder
+from .bpr import EncoderModel, build_encoder
 from .envs import (
     OfflineDataset,
     PointMassEnv,
@@ -57,7 +57,6 @@ class AgentConfig:
     n_wedge: float = 10.0
     eval_every: int = 0
     eval_episodes: int = 10
-    co_train_bpr_weight: float = 0.0
     co_train_encoder_lr: float | None = None  # defaults to learning_rate
     q_hidden_activation: str = "relu"  # tanh bounds the feature scale for spectral probes
 
@@ -388,12 +387,6 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
     adam_enc = (numerics.AdamState.for_params([encoder.net.flat], enc_lr)
                 if co_train else None)
 
-    predictor = None
-    adam_pred = None
-    if co_train and config.co_train_bpr_weight > 0.0:
-        predictor = PredictorModel.build(encoder.repr_dim, adim, config.hidden, rng)
-        adam_pred = numerics.AdamState.for_params([predictor.net.flat], config.learning_rate)
-
     last_actor_loss = float("nan")
 
     def step_fn(step):
@@ -430,18 +423,7 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
         numerics.adam_step(adam_q, [q_flat], [np.concatenate(q_grads, axis=None)])
 
         if co_train:
-            g_rep = g_x
-            ok = np.linalg.norm(ab, axis=1) >= 1e-6
-            if predictor is not None and np.any(ok):
-                yb, pcache = numerics.forward(predictor.net, xb)
-                gy_ok = np.zeros_like(yb)
-                _, gy_sub = bpr_loss(yb[ok], ab[ok])
-                gy_ok[ok] = gy_sub
-                pgrads_pred, gz = numerics.backward(predictor.net, pcache, gy_ok)
-                g_rep = g_x + config.co_train_bpr_weight * gz
-                numerics.adam_step(adam_pred, [predictor.net.flat], [
-                    config.co_train_bpr_weight * np.concatenate(pgrads_pred, axis=None)])
-            enc_grads, _ = numerics.backward(encoder.net, enc_cache, g_rep, input_grad=False)
+            enc_grads, _ = numerics.backward(encoder.net, enc_cache, g_x, input_grad=False)
             numerics.adam_step(adam_enc, [encoder.net.flat],
                                [np.concatenate(enc_grads, axis=None)])
 

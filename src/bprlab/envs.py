@@ -174,7 +174,8 @@ def save_dataset(dataset: OfflineDataset, path: str) -> None:
      "s2": [state_dim floats], "d": 0 or 1}, with keys in that order. Floats
     are written as repr writes them, as json.dumps does; repr is the shortest
     string that round-trips the float64. Rows are formatted and written one
-    block (row_blocks) at a time."""
+    block (row_blocks) at a time, and each distinct row of a block, keyed by
+    its raw bytes so that -0.0 and 0.0 stay apart, is formatted once."""
     header = dict(zip(_HEADER_KEYS, (dataset.state_dim, dataset.action_dim,
                                      dataset.n, dataset.behavior_tag)))
     s, a, r, s2, d = dataset.arrays()
@@ -188,24 +189,43 @@ def save_dataset(dataset: OfflineDataset, path: str) -> None:
     def chunks():
         yield json.dumps(header) + "\n"
         for b in row_blocks(dataset.n):
-            table = np.hstack([s[b], a[b], r[b, None], s2[b], d[b, None]]).tolist()
-            yield "".join([row % tuple(x) for x in table])
+            table = np.hstack([s[b], a[b], r[b, None], s2[b], d[b, None]])
+            keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            lines = [row % tuple(x) for x in table[first].tolist()]
+            yield "".join([lines[i] for i in inverse.tolist()])
 
     atomic_write(path, chunks())
 
 
+def _block_column(distinct: list, key: str, inverse: np.ndarray) -> np.ndarray:
+    """Column key of a block whose row i is distinct[inverse[i]]."""
+    try:
+        return np.array([row[key] for row in distinct])[inverse]
+    except ValueError:
+        # a ragged column; numpy's message names the row count, so build the
+        # whole block's column to raise it as a per-line parse would
+        np.array([distinct[i][key] for i in inverse])
+        raise
+
+
 def load_dataset(path: str) -> OfflineDataset:
     """Read a save_dataset file, parsing ROW_BLOCK lines at a time into column
-    blocks. Any malformed header, line or value raises RejectedInputError."""
+    blocks; each distinct line text of a block is parsed once. Any malformed
+    header, line or value raises RejectedInputError, the same error for the
+    same first bad line as parsing every line would raise."""
     try:
         with open(path) as fh:
             lines = (line for line in fh if line.strip())
             header = json.loads(next(lines, ""))
             state_dim, action_dim, n, tag = (header[k] for k in _HEADER_KEYS)
             rows, blocks = 0, []
-            while block := [json.loads(line) for line in itertools.islice(lines, ROW_BLOCK)]:
+            while block := list(itertools.islice(lines, ROW_BLOCK)):
                 rows += len(block)
-                blocks.append([np.array([row[k] for row in block]) for k in _ROW_KEYS])
+                first = {}
+                inverse = np.array([first.setdefault(line, len(first)) for line in block])
+                distinct = [json.loads(line) for line in first]
+                blocks.append([_block_column(distinct, k, inverse) for k in _ROW_KEYS])
         columns = [np.concatenate(col) for col in zip(*blocks)]
     except (KeyError, TypeError, ValueError) as exc:
         raise RejectedInputError(f"{path}: malformed dataset file: {exc!r}") from None

@@ -229,6 +229,9 @@ _MALFORMED = {
     "done-2": (_HEADER, [{**_ROW, "d": 2}]),
     "n-mismatch": ({**_HEADER, "n": 2}, [_ROW]),
     "ragged-s": ({**_HEADER, "n": 2}, [_ROW, {**_ROW, "s": [[0.0]]}]),
+    # the same bad line in two blocks, so that each block parses it once
+    "done-2-in-two-blocks": ({**_HEADER, "n": envs.ROW_BLOCK + 1},
+                             [{**_ROW, "d": 2}, *[_ROW] * (envs.ROW_BLOCK - 1), {**_ROW, "d": 2}]),
 }
 
 

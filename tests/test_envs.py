@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bprlab import bpr, envs
 from bprlab.errors import (
@@ -169,7 +172,74 @@ class TestCounterexample:
         assert set(s.tolist()) == {0}
 
 
+# Float values whose repr and bytes a dataset file must keep, signed zeros and
+# subnormals included.
+_IO_VALUES = [0.0, -0.0, 1.0, -1.5, 0.1, 1e-300, 5e-324, 1e300, 123456.789]
+
+# Row lines for load_dataset: spellings of one value that parse alike, signed
+# zeros, and malformed lines of each kind (width, type, JSON, key, ragged).
+_IO_LINES = [
+    '{"s": [0.0], "a": [1.0], "r": 0.0, "s2": [0.0], "d": 1}',
+    '{"s": [0.00], "a": [1], "r": 0, "s2": [0e0], "d": true}',
+    '{"s": [-0.0], "a": [-1.0], "r": -0.0, "s2": [-0.0], "d": 0}',
+    '{"s": [5e-324], "a": [0.5], "r": 1e300, "s2": [0.1], "d": 0}',
+    '{"s": [0.0, 1.0], "a": [1.0], "r": 0.0, "s2": [0.0], "d": 1}',
+    '{"s": [0.0], "a": [1.0], "r": "x", "s2": [0.0], "d": 1}',
+    '{"s": [0.0], "a": [1.0], "r": 0.0, "s2": [0.0], "d": 2}',
+    '{"s": [[0.0]], "a": [1.0], "r": 0.0, "s2": [0.0], "d": 1}',
+    '{"s": [0.0], "a": [1.0], "s2": [0.0], "d": 1}',
+    '[0.0, 1.0]',
+    '{not json',
+]
+
+
 class TestDatasetIO:
+    # save_dataset and load_dataset as they were before they cached the text
+    # of each distinct row: every row formatted, every line parsed.
+    @staticmethod
+    def reference_save_dataset(dataset, path):
+        header = dict(zip(envs._HEADER_KEYS, (dataset.state_dim, dataset.action_dim,
+                                              dataset.n, dataset.behavior_tag)))
+        s, a, r, s2, d = dataset.arrays()
+
+        def floats(k):
+            return "[" + ", ".join(["%r"] * k) + "]"
+
+        row = (f'{{"s": {floats(dataset.state_dim)}, "a": {floats(dataset.action_dim)}, '
+               f'"r": %r, "s2": {floats(dataset.state_dim)}, "d": %d}}\n')
+        table = np.hstack([s, a, r[:, None], s2, d[:, None]]).tolist()
+        envs.atomic_write(path, json.dumps(header) + "\n" + "".join([row % tuple(x) for x in table]))
+
+    @staticmethod
+    def reference_load_dataset(path):
+        try:
+            with open(path) as fh:
+                lines = (line for line in fh if line.strip())
+                header = json.loads(next(lines, ""))
+                state_dim, action_dim, n, tag = (header[k] for k in envs._HEADER_KEYS)
+                rows, blocks = 0, []
+                while block := [json.loads(line)
+                                for line in itertools.islice(lines, envs.ROW_BLOCK)]:
+                    rows += len(block)
+                    blocks.append([np.array([row[k] for row in block]) for k in envs._ROW_KEYS])
+            columns = [np.concatenate(col) for col in zip(*blocks)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RejectedInputError(f"{path}: malformed dataset file: {exc!r}") from None
+        if rows != n:
+            raise RejectedInputError(f"{path}: header n={n!r} but the file holds {rows} rows")
+        if not rows:
+            raise RejectedInputError(f"{path}: dataset has no rows")
+        if any(col.dtype.kind not in "iuf" for col in columns):
+            raise RejectedInputError(f"{path}: a transition holds a non-numeric value")
+        if not np.isin(columns[4], (0, 1)).all():
+            raise RejectedInputError(f"{path}: a done flag is not 0 or 1")
+        return envs.OfflineDataset(state_dim, action_dim, *columns, tag)
+
+    @staticmethod
+    def assert_same_columns(got, want):
+        for x, y in zip(got.arrays(), want.arrays()):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         env = envs.PointMassEnv()
@@ -198,11 +268,76 @@ class TestDatasetIO:
         rows = [json.dumps({"s": s.tolist(), "a": a.tolist(), "r": float(r),
                             "s2": s2.tolist(), "d": int(d)}) for s, a, r, s2, d in zip(*ds.arrays())]
         assert path.read_text() == "\n".join([json.dumps(header), *rows]) + "\n"
+        self.reference_save_dataset(ds, str(tmp_path / "reference.jsonl"))
+        assert (tmp_path / "reference.jsonl").read_bytes() == path.read_bytes()
         loaded = envs.load_dataset(str(path))
-        for a, b in zip(ds.arrays(), loaded.arrays()):
-            assert a.tobytes() == b.tobytes()
+        self.assert_same_columns(loaded, ds)
+        self.assert_same_columns(loaded, self.reference_load_dataset(str(path)))
         envs.save_dataset(loaded, str(tmp_path / "again.jsonl"))
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_signed_zeros_keep_their_bytes(self, tmp_path):
+        # rows 0-7 differ only in the signs of zeros in s, r and s2: a key by
+        # value would format them all as row 0
+        i = np.arange(24) % 8
+        zero = np.zeros(24)
+        s = np.stack([np.where(i & 1, -0.0, 0.0), zero + 1.0], axis=1)
+        r = np.where(i & 2, -0.0, 0.0)
+        s2 = np.stack([zero + 2.0, np.where(i & 4, -0.0, 0.0)], axis=1)
+        ds = envs.OfflineDataset(2, 1, s, np.ones((24, 1)), r, s2, np.zeros(24, bool))
+        path = tmp_path / "d.jsonl"
+        envs.save_dataset(ds, str(path))
+        self.reference_save_dataset(ds, str(tmp_path / "reference.jsonl"))
+        assert path.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+        rows = path.read_text().splitlines()[1:]
+        assert len(set(rows)) == 8 and sum(row.count("-0.0") for row in rows) == 36
+        loaded = envs.load_dataset(str(path))
+        self.assert_same_columns(loaded, ds)
+        assert np.signbit(loaded.rewards).tolist() == [bool(k & 2) for k in i]
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 2)),
+           pool=st.lists(st.lists(st.sampled_from(_IO_VALUES), min_size=9, max_size=9),
+                         min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+           block=st.integers(1, 8))
+    def test_duplicated_rows_match_the_per_row_reference(self, tmp_path, dims, pool, picks,
+                                                         block):
+        sd, ad = dims
+        table = np.array([pool[p % len(pool)] for p in picks])
+        s, a, r, s2 = np.split(table[:, :2 * sd + ad + 1], [sd, sd + ad, sd + ad + 1], axis=1)
+        ds = envs.OfflineDataset(sd, ad, s, a, r[:, 0], s2, table[:, -1] > 0.5, "dup")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(envs, "ROW_BLOCK", block)
+            envs.save_dataset(ds, str(tmp_path / "d.jsonl"))
+            self.reference_save_dataset(ds, str(tmp_path / "reference.jsonl"))
+            assert (tmp_path / "d.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+            loaded = envs.load_dataset(str(tmp_path / "d.jsonl"))
+            self.assert_same_columns(loaded, ds)
+            self.assert_same_columns(loaded, self.reference_load_dataset(str(tmp_path / "d.jsonl")))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(picks=st.lists(st.sampled_from(_IO_LINES), min_size=1, max_size=30),
+           block=st.integers(1, 8), extra=st.integers(0, 1))
+    def test_load_matches_the_per_line_reference(self, tmp_path, picks, block, extra):
+        path = str(tmp_path / "d.jsonl")
+        header = {"state_dim": 1, "action_dim": 1, "n": len(picks) + extra, "behavior_tag": ""}
+        Path(path).write_text("\n".join([json.dumps(header), *picks]) + "\n")
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(envs, "ROW_BLOCK", block)
+            for load in (envs.load_dataset, self.reference_load_dataset):
+                try:
+                    outcomes.append(load(path))
+                except RejectedInputError as exc:
+                    outcomes.append(str(exc))
+        got, want = outcomes
+        if isinstance(want, str):
+            assert got == want
+        else:
+            self.assert_same_columns(got, want)
 
     def test_save_is_deterministic(self, tmp_path):
         env = envs.PointMassEnv()
