@@ -4,6 +4,7 @@ behavior cloning, TD3+BC, CQL (continuous and tabular), and tabular SPIBB."""
 from __future__ import annotations
 
 import csv
+import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .envs import (
     TabularPolicy,
     _choice_cdf,
     _uniforms,
+    atomic_write,
     empirical_mdp_from_dataset,
     estimate_behavior_tabular,
     evaluate_policy_exact,
@@ -29,7 +31,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 
-TRACE_COLUMNS = ("step", "critic_loss", "actor_loss", "bpr_loss",
+TRACE_COLUMNS = ("step", "critic_loss", "actor_loss",
                  "eval_return_mean", "eval_return_std", "effective_dimension")
 
 
@@ -65,6 +67,13 @@ class AgentConfig:
             raise RejectedInputError(f"unknown algorithm {self.algorithm!r}")
         if self.co_train_encoder and not self.use_encoder:
             raise RejectedInputError("co_train_encoder requires use_encoder")
+        if self.co_train_encoder and self.algorithm != "td3bc":
+            raise RejectedInputError("co-training the encoder is only supported with td3bc")
+        for name, low in (("gradient_steps", 0), ("seed", 0), ("batch_size", 1), ("repr_dim", 1)):
+            if getattr(self, name) < low:
+                raise RejectedInputError(f"{name} must be >= {low}, not {getattr(self, name)}")
+        if any(h < 1 for h in self.hidden):
+            raise RejectedInputError(f"every hidden width must be >= 1, not {self.hidden}")
 
 
 class PolicyModel:
@@ -130,8 +139,8 @@ def bc_loss_and_grads(policy: PolicyModel, x: np.ndarray, a: np.ndarray):
     n = x.shape[0]
     loss = float(np.sum(diff * diff, axis=1).mean())
     gy = 2.0 * diff / n * policy.action_bound
-    grads, _ = numerics.backward(policy.net, cache, gy, input_grad=False)
-    return loss, grads
+    grad, _ = numerics.backward(policy.net, cache, gy, input_grad=False)
+    return loss, grad
 
 
 def cql_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
@@ -145,8 +154,8 @@ def cql_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
     loss = float(-qv[:, 0].mean())
     _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -1.0 / n), param_grads=False)
     gy = gqin[:, x.shape[1]:]
-    grads, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
-    return loss, grads
+    grad, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
+    return loss, grad
 
 
 def td3bc_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
@@ -166,8 +175,8 @@ def td3bc_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
     loss = float(-lam * qv[:, 0].mean() + np.sum(diff * diff, axis=1).mean())
     _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -lam / n), param_grads=False)
     gy = gqin[:, x.shape[1]:] + 2.0 * diff / n
-    grads, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
-    return loss, grads
+    grad, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
+    return loss, grad
 
 
 def critic_td_loss_and_grads(q: QModel, x: np.ndarray, a: np.ndarray,
@@ -176,8 +185,8 @@ def critic_td_loss_and_grads(q: QModel, x: np.ndarray, a: np.ndarray,
     td = qv[:, 0] - target
     n = x.shape[0]
     loss = float(np.mean(td * td))
-    grads, _ = numerics.backward(q.net, cache, (2.0 * td / n)[:, None], input_grad=False)
-    return loss, grads
+    grad, _ = numerics.backward(q.net, cache, (2.0 * td / n)[:, None], input_grad=False)
+    return loss, grad
 
 
 def cql_critic_loss_and_grads(q: QModel, x: np.ndarray, a_data: np.ndarray,
@@ -202,10 +211,9 @@ def cql_critic_loss_and_grads(q: QModel, x: np.ndarray, a_data: np.ndarray,
     g_qd = g_qd - alpha / n
     g_qc = alpha * soft / n
 
-    grads_d, _ = numerics.backward(q.net, dcache, g_qd[:, None], input_grad=False)
-    grads_c, _ = numerics.backward(q.net, ccache, g_qc.reshape(n * m, 1), input_grad=False)
-    grads = [gd + gc for gd, gc in zip(grads_d, grads_c)]
-    return loss, grads
+    grad, _ = numerics.backward(q.net, dcache, g_qd[:, None], input_grad=False)
+    grad += numerics.backward(q.net, ccache, g_qc.reshape(n * m, 1), input_grad=False)[0]
+    return loss, grad
 
 
 # ---------------------------------------------------------------- helpers
@@ -213,8 +221,7 @@ def cql_critic_loss_and_grads(q: QModel, x: np.ndarray, a_data: np.ndarray,
 
 def _soft_update(target: np.ndarray, source: np.ndarray, tau: float):
     """target <- (1 - tau) * target + tau * source, in place on a parameter buffer."""
-    if not target.flags.writeable:
-        raise ContractViolationError("parameters are read-only: the model is frozen")
+    numerics.check_writable([target])
     target *= 1.0 - tau
     target += tau * source
 
@@ -232,15 +239,22 @@ class TrainResult:
     trace: list[dict] = field(default_factory=list)
     psi_trace: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
-    @property
-    def q(self) -> QModel:
-        return self.critics[0]
 
-
-def _encode_inputs(encoder, states, use_encoder):
-    if not use_encoder:
-        return states
-    return encoder.encode(states)
+def _encoder_inputs(config: AgentConfig, encoder: EncoderModel | None, state_dim: int,
+                    rng: np.random.Generator, *states: np.ndarray):
+    """Check the encoder against the config and return it with one input per state
+    array: the encoder's fixed representation of the array, or the array itself
+    without an encoder or when co-training (from rng if no encoder is given)."""
+    if config.co_train_encoder:
+        if encoder is None:
+            encoder = build_encoder(state_dim, config.repr_dim, config.hidden, rng)
+        if encoder.frozen:
+            raise ContractViolationError("co-training requires an unfrozen encoder")
+    elif config.use_encoder:
+        if encoder is None:
+            raise RejectedInputError("use_encoder requires an encoder")
+        states = tuple(encoder.encode(s) for s in states)
+    return encoder, states
 
 
 def _rollout_policy(policy: PolicyModel, encoder: EncoderModel | None, use_encoder: bool):
@@ -294,18 +308,22 @@ def evaluate_return_tabular(mdp: TabularMDP, policy: TabularPolicy, episodes: in
 
 def _train_loop(config: AgentConfig, result: TrainResult, env: PointMassEnv | None,
                 probe_batch, probe_every: int, step_fn) -> TrainResult:
-    """Run step_fn(step) -> (critic loss, actor loss) for each gradient step, with
-    the bookkeeping the continuous trainers share: effective-dimension probes of
-    the first critic, the eval trace, and the check that a frozen encoder did not
-    change."""
-    encoder, q = result.encoder, result.critics[0]
+    """Run step_fn(step) -> (critic loss or None, actor loss) for each gradient
+    step, with the bookkeeping the continuous trainers share: effective-dimension
+    probes of the first critic, the eval trace, and the check that a frozen
+    encoder did not change."""
+    if probe_batch is not None and not result.critics:
+        raise RejectedInputError(f"{config.algorithm} has no critic to probe")
+    if probe_every < 0:
+        raise RejectedInputError(f"probe_every must be >= 0, not {probe_every}")
+    encoder = result.encoder
     frozen_hash = encoder.param_hash() if (encoder is not None and encoder.frozen) else None
 
     def probe(step):
         if probe_batch is not None:
             ps, pa = probe_batch
-            x = _encode_inputs(encoder, ps, config.use_encoder)
-            result.psi_trace.append((step, extract_features(q, x, pa)))
+            x = encoder.encode(ps) if config.use_encoder else ps
+            result.psi_trace.append((step, extract_features(result.critics[0], x, pa)))
 
     probe(0)
     for step in range(config.gradient_steps):
@@ -330,21 +348,24 @@ def _train_loop(config: AgentConfig, result: TrainResult, env: PointMassEnv | No
 
 
 def train_bc(dataset: OfflineDataset, config: AgentConfig,
-             encoder: EncoderModel | None = None) -> TrainResult:
+             encoder: EncoderModel | None = None,
+             env: PointMassEnv | None = None,
+             probe_batch=None, probe_every: int = 0) -> TrainResult:
     states, actions, _, _, _ = dataset.arrays()
-    x_all = _encode_inputs(encoder, states, config.use_encoder)
     rng = np.random.default_rng(config.seed)
+    encoder, (x_all,) = _encoder_inputs(config, encoder, dataset.state_dim, rng, states)
     policy = PolicyModel.build(x_all.shape[1], dataset.action_dim, config.hidden, rng)
-    adam = numerics.AdamState.for_params([policy.net.flat], config.learning_rate)
-    result = TrainResult(policy, (), encoder)
-    for step in range(config.gradient_steps):
+    adam = numerics.AdamState.for_params(policy.net.flat, config.learning_rate)
+
+    def step_fn(step):
         idx = rng.integers(0, x_all.shape[0], size=config.batch_size)
-        loss, grads = bc_loss_and_grads(policy, x_all[idx], actions[idx])
+        loss, grad = bc_loss_and_grads(policy, x_all[idx], actions[idx])
         _check_finite(loss, step, "bc")
-        numerics.adam_step(adam, [policy.net.flat], [np.concatenate(grads, axis=None)])
-        if config.eval_every and step % config.eval_every == 0:
-            result.trace.append({"step": step, "actor_loss": loss})
-    return result
+        numerics.adam_step(adam, policy.net.flat, grad)
+        return None, loss
+
+    result = TrainResult(policy, (), encoder)
+    return _train_loop(config, result, env, probe_batch, probe_every, step_fn)
 
 
 def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
@@ -354,19 +375,8 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
     states, actions, rewards, next_states, dones = dataset.arrays()
     rng = np.random.default_rng(config.seed)
     co_train = config.co_train_encoder
-    if config.use_encoder and encoder is None and not co_train:
-        raise RejectedInputError("use_encoder requires an encoder")
-    if co_train:
-        if encoder is None:
-            encoder = build_encoder(dataset.state_dim, config.repr_dim, config.hidden, rng)
-        if encoder.frozen:
-            raise ContractViolationError("co-training requires an unfrozen encoder")
-
-    if config.use_encoder and not co_train:
-        x_all = encoder.encode(states)
-        x2_all = encoder.encode(next_states)
-    else:
-        x_all, x2_all = states, next_states
+    encoder, (x_all, x2_all) = _encoder_inputs(config, encoder, dataset.state_dim, rng,
+                                               states, next_states)
     input_dim = encoder.repr_dim if config.use_encoder else dataset.state_dim
     adim = dataset.action_dim
 
@@ -379,12 +389,13 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
     # the twin critics share one buffer, and so do their targets
     q_flat = numerics.share_buffer([q1.net, q2.net])
     q_t_flat = numerics.share_buffer([q1_t.net, q2_t.net])
+    q_grad = np.empty_like(q_flat)  # the twin critics' joint gradient
 
-    adam_pi = numerics.AdamState.for_params([policy.net.flat], config.learning_rate)
-    adam_q = numerics.AdamState.for_params([q_flat], config.learning_rate)
+    adam_pi = numerics.AdamState.for_params(policy.net.flat, config.learning_rate)
+    adam_q = numerics.AdamState.for_params(q_flat, config.learning_rate)
     enc_lr = config.co_train_encoder_lr if config.co_train_encoder_lr is not None \
         else config.learning_rate
-    adam_enc = (numerics.AdamState.for_params([encoder.net.flat], enc_lr)
+    adam_enc = (numerics.AdamState.for_params(encoder.net.flat, enc_lr)
                 if co_train else None)
 
     last_actor_loss = float("nan")
@@ -409,29 +420,26 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
         qin = np.concatenate([xb, ab], axis=1)
         closs = 0.0
         g_x = np.zeros_like(xb) if co_train else None
-        q_grads = []
-        for qm in (q1, q2):
+        for qm, grad in zip((q1, q2), np.split(q_grad, [q1.net.flat.size])):
             qv, cache = numerics.forward(qm.net, qin)
             td = qv[:, 0] - target
             closs += float(np.mean(td * td))
-            grads, gin = numerics.backward(qm.net, cache, (2.0 * td / len(idx))[:, None],
-                                           input_grad=co_train)
-            q_grads.extend(grads)
+            _, gin = numerics.backward(qm.net, cache, (2.0 * td / len(idx))[:, None],
+                                       input_grad=co_train, out=grad)
             if co_train:
                 g_x += gin[:, : xb.shape[1]]
         _check_finite(closs, step, "critic")
-        numerics.adam_step(adam_q, [q_flat], [np.concatenate(q_grads, axis=None)])
+        numerics.adam_step(adam_q, q_flat, q_grad)
 
         if co_train:
-            enc_grads, _ = numerics.backward(encoder.net, enc_cache, g_x, input_grad=False)
-            numerics.adam_step(adam_enc, [encoder.net.flat],
-                               [np.concatenate(enc_grads, axis=None)])
+            enc_grad, _ = numerics.backward(encoder.net, enc_cache, g_x, input_grad=False)
+            numerics.adam_step(adam_enc, encoder.net.flat, enc_grad)
 
         if step % config.policy_delay == 0:
-            aloss, pgrads = td3bc_actor_loss_and_grads(policy, q1, xb, ab,
-                                                       alpha=config.td3bc_alpha)
+            aloss, pgrad = td3bc_actor_loss_and_grads(policy, q1, xb, ab,
+                                                      alpha=config.td3bc_alpha)
             _check_finite(aloss, step, "actor")
-            numerics.adam_step(adam_pi, [policy.net.flat], [np.concatenate(pgrads, axis=None)])
+            numerics.adam_step(adam_pi, policy.net.flat, pgrad)
             last_actor_loss = aloss
             _soft_update(policy_t.net.flat, policy.net.flat, config.tau)
             _soft_update(q_t_flat, q_flat, config.tau)
@@ -447,21 +455,15 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
                          probe_batch=None, probe_every: int = 0) -> TrainResult:
     states, actions, rewards, next_states, dones = dataset.arrays()
     rng = np.random.default_rng(config.seed)
-    if config.use_encoder:
-        if encoder is None:
-            raise RejectedInputError("use_encoder requires an encoder")
-        x_all, x2_all = encoder.encode(states), encoder.encode(next_states)
-        input_dim = encoder.repr_dim
-    else:
-        x_all, x2_all = states, next_states
-        input_dim = dataset.state_dim
-    adim = dataset.action_dim
+    encoder, (x_all, x2_all) = _encoder_inputs(config, encoder, dataset.state_dim, rng,
+                                               states, next_states)
+    input_dim, adim = x_all.shape[1], dataset.action_dim
 
     policy = PolicyModel.build(input_dim, adim, config.hidden, rng)
     q = QModel.build(input_dim, adim, config.hidden, rng, config.q_hidden_activation)
     q_t = QModel(q.net.copy())
-    adam_pi = numerics.AdamState.for_params([policy.net.flat], config.learning_rate)
-    adam_q = numerics.AdamState.for_params([q.net.flat], config.learning_rate)
+    adam_pi = numerics.AdamState.for_params(policy.net.flat, config.learning_rate)
+    adam_q = numerics.AdamState.for_params(q.net.flat, config.learning_rate)
 
     def step_fn(step):
         idx = rng.integers(0, states.shape[0], size=config.batch_size)
@@ -471,13 +473,13 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
         # the policy's forward pass on xb serves the candidates and the actor loss
         pi_forward = numerics.forward(policy.net, xb)
         cand = np.concatenate([cand, (policy.action_bound * pi_forward[0])[:, None, :]], axis=1)
-        closs, cgrads = cql_critic_loss_and_grads(q, xb, ab, target, cand, config.cql_alpha)
+        closs, cgrad = cql_critic_loss_and_grads(q, xb, ab, target, cand, config.cql_alpha)
         _check_finite(closs, step, "cql critic")
-        numerics.adam_step(adam_q, [q.net.flat], [np.concatenate(cgrads, axis=None)])
+        numerics.adam_step(adam_q, q.net.flat, cgrad)
 
-        aloss, pgrads = cql_actor_loss_and_grads(policy, q, xb, pi_forward)
+        aloss, pgrad = cql_actor_loss_and_grads(policy, q, xb, pi_forward)
         _check_finite(aloss, step, "cql actor")
-        numerics.adam_step(adam_pi, [policy.net.flat], [np.concatenate(pgrads, axis=None)])
+        numerics.adam_step(adam_pi, policy.net.flat, pgrad)
         _soft_update(q_t.net.flat, q.net.flat, config.tau)
         return closs, aloss
 
@@ -523,7 +525,7 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
     # gradient terms in accumulation order: n TD terms, n softmax rows, n -alpha/n terms
     weights = np.full(n * (n_actions + 2) if alpha > 0.0 else n, -alpha / n)
     q = np.zeros((n_states, n_actions))
-    adam = numerics.AdamState.for_params([q], config.learning_rate)
+    adam = numerics.AdamState.for_params(q, config.learning_rate)
     trace = []
     for start in range(0, config.gradient_steps, every):
         if alpha > 0.0:
@@ -554,7 +556,7 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
                 flat = np.concatenate((cell, (si[:, None] * n_actions + cols).ravel(), cell))
             _check_finite(loss, step, "tabular cql")
             grad = np.bincount(flat, weights, minlength=q.size).reshape(q.shape)
-            numerics.adam_step(adam, [q], [grad])
+            numerics.adam_step(adam, q, grad)
             if config.eval_every and (step + 1) % config.eval_every == 0:
                 trace.append({"step": step + 1, "critic_loss": loss})
     greedy = TabularPolicy.deterministic(q.argmax(axis=1), n_actions)
@@ -618,10 +620,6 @@ def train_spibb_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
 
 
 def write_trace_csv(rows: list[dict], path: str) -> None:
-    import io
-
-    from .envs import atomic_write
-
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=TRACE_COLUMNS, extrasaction="ignore")
     writer.writeheader()

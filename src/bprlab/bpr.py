@@ -31,8 +31,11 @@ class PretrainConfig:
     predictor_hidden: tuple[int, ...] = (256, 256)
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size <= 0 or self.repr_dim <= 0:
-            raise RejectedInputError("invalid pretrain config")
+        for name, low in (("steps", 0), ("seed", 0), ("batch_size", 1), ("repr_dim", 1)):
+            if getattr(self, name) < low:
+                raise RejectedInputError(f"{name} must be >= {low}, not {getattr(self, name)}")
+        if any(h < 1 for h in (*self.encoder_hidden, *self.predictor_hidden)):
+            raise RejectedInputError("every hidden width must be >= 1")
 
 
 class EncoderModel:
@@ -133,14 +136,17 @@ def bpr_loss(prediction: np.ndarray, action: np.ndarray,
 def bpr_batch_grads(encoder: EncoderModel, predictor: PredictorModel,
                     states: np.ndarray, actions: np.ndarray,
                     min_action_norm: float = 1e-6):
-    """One joint forward/backward of the normalized prediction loss.
-    Returns (loss, encoder grads, predictor grads)."""
+    """One joint forward/backward of the normalized prediction loss. Returns
+    (loss, gradient): one vector of the encoder's then the predictor's parameter
+    gradient, the order of share_buffer([encoder.net, predictor.net])."""
     z, enc_cache = numerics.forward(encoder.net, states)
     y, pred_cache = numerics.forward(predictor.net, z)
     loss, gy = bpr_loss(y, actions, min_action_norm)
-    pred_grads, gz = numerics.backward(predictor.net, pred_cache, gy)
-    enc_grads, _ = numerics.backward(encoder.net, enc_cache, gz, input_grad=False)
-    return loss, enc_grads, pred_grads
+    grad = np.empty(encoder.net.flat.size + predictor.net.flat.size)
+    enc_grad, pred_grad = np.split(grad, [encoder.net.flat.size])
+    _, gz = numerics.backward(predictor.net, pred_cache, gy, out=pred_grad)
+    numerics.backward(encoder.net, enc_cache, gz, input_grad=False, out=enc_grad)
+    return loss, grad
 
 
 def filter_zero_norm_actions(dataset: OfflineDataset, min_action_norm: float):
@@ -160,17 +166,17 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
     predictor = PredictorModel.build(config.repr_dim, dataset.action_dim,
                                      config.predictor_hidden, rng)
     # one buffer, one Adam state and one gradient vector for both nets
-    params = [numerics.share_buffer([encoder.net, predictor.net])]
+    params = numerics.share_buffer([encoder.net, predictor.net])
     adam = numerics.AdamState.for_params(params, learning_rate=config.learning_rate)
     trace = np.zeros(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, states.shape[0], size=config.batch_size)
-        loss, enc_grads, pred_grads = bpr_batch_grads(
+        loss, grad = bpr_batch_grads(
             encoder, predictor, states[idx], actions[idx], config.min_action_norm
         )
         if not np.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite pretrain loss at step {step}")
-        numerics.adam_step(adam, params, [np.concatenate([*enc_grads, *pred_grads], axis=None)])
+        numerics.adam_step(adam, params, grad)
         trace[step] = loss
     encoder.freeze()
     return encoder, trace, predictor, n_dropped

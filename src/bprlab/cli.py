@@ -198,56 +198,44 @@ def _train_one_seed(args, dataset, seed, encoder, out):
     trace_path = os.path.join(out, f"{label}-seed{seed}-trace.csv")
     if args.task == "pointmass":
         env = envs.PointMassEnv()
-        probe_batch = analysis.make_probe_batch(dataset, 512, seed=0) if args.probe_ed else None
-        if args.algo == "bc":
-            result = agents.train_bc(dataset, config, encoder)
-        elif args.algo == "td3bc":
-            result = agents.train_td3bc(dataset, config, encoder, env,
-                                        probe_batch=probe_batch, probe_every=args.probe_ed)
-        elif args.algo == "cql":
-            result = agents.train_cql(dataset, config, encoder, env,
-                                      probe_batch=probe_batch, probe_every=args.probe_ed)
-        else:
+        trainer = {"bc": agents.train_bc, "td3bc": agents.train_td3bc,
+                   "cql": agents.train_cql}.get(args.algo)
+        if trainer is None:
             raise RejectedInputError(f"{args.algo} is not a point-mass algorithm")
+        probe_batch = analysis.make_probe_batch(dataset, 512, seed=0) if args.probe_ed else None
+        result = trainer(dataset, config, encoder, env,
+                         probe_batch=probe_batch, probe_every=args.probe_ed)
         mean, std, _ = agents.evaluate_return(
             agents._rollout_policy(result.policy, result.encoder, config.use_encoder),
             env, config.eval_episodes, seed=seed * 7919 + 1)
         row.update(final_return_mean=mean, final_return_std=std)
-        if args.threshold is not None:
-            hit = [t["step"] for t in result.trace
-                   if t.get("eval_return_mean", -np.inf) >= args.threshold]
-            row["steps_to_threshold"] = hit[0] if hit else None
-        if args.probe_ed:
-            ed = analysis.effective_dimension_trace(result.psi_trace)
+        if args.threshold is not None:  # every trace row holds an eval return
+            row["steps_to_threshold"] = next((t["step"] for t in result.trace
+                                              if t["eval_return_mean"] >= args.threshold), None)
+        ed = analysis.effective_dimension_trace(result.psi_trace)
+        if ed:
             row["effective_dimension_final"] = ed[-1][1]
-            ed_rows = [{"step": s, "effective_dimension": c} for s, c in ed]
-            agents.write_trace_csv(result.trace + ed_rows, trace_path)
-        else:
-            agents.write_trace_csv(result.trace, trace_path)
+        ed_rows = [{"step": s, "effective_dimension": c} for s, c in ed]
+        agents.write_trace_csv(result.trace + ed_rows, trace_path)
     elif args.task == "gridworld":
         mdp = envs.make_gridworld()
         behavior_spec = dataset.behavior_tag.partition(":")[2]  # "" for a tag without ':'
         behavior = _gridworld_behavior(mdp, behavior_spec)
         if args.algo == "spibb":
             result = agents.train_spibb_tabular(dataset, mdp.n_states, mdp.n_actions, config)
-            _, j_out = envs.evaluate_policy_exact(mdp, result.policy)
-            row.update(final_return_mean=j_out, final_return_std=0.0,
-                       delta_hat=result.j_hat_out - result.j_hat_behavior)
-            if args.probe_bounds:
-                report = analysis.verify_theorem2(mdp, dataset, result, behavior)
-                row["bound_report"] = dataclasses.asdict(report)
-            agents.write_trace_csv([], trace_path)
+            row["delta_hat"] = result.j_hat_out - result.j_hat_behavior
+            trace, verify = [], analysis.verify_theorem2
         elif args.algo == "cql":
             result = agents.train_cql(dataset, config,
                                       tabular_shape=(mdp.n_states, mdp.n_actions))
-            _, j_out = envs.evaluate_policy_exact(mdp, result.policy)
-            row.update(final_return_mean=j_out, final_return_std=0.0)
-            if args.probe_bounds:
-                report = analysis.verify_theorem3(mdp, dataset, result, behavior)
-                row["bound_report"] = dataclasses.asdict(report)
-            agents.write_trace_csv(result.trace, trace_path)
+            trace, verify = result.trace, analysis.verify_theorem3
         else:
             raise RejectedInputError(f"{args.algo} is not a gridworld algorithm")
+        _, j_out = envs.evaluate_policy_exact(mdp, result.policy)
+        row.update(final_return_mean=j_out, final_return_std=0.0)
+        if args.probe_bounds:
+            row["bound_report"] = dataclasses.asdict(verify(mdp, dataset, result, behavior))
+        agents.write_trace_csv(trace, trace_path)
     row["trace_file"] = os.path.basename(trace_path)
     return row
 
@@ -273,8 +261,6 @@ def _fit_task(args, dataset: envs.OfflineDataset) -> None:
 
 def cmd_train(args) -> int:
     out = _output_dir(args)
-    if args.co_train and args.algo != "td3bc":
-        raise RejectedInputError("--co-train is only supported with --algo td3bc")
     dataset = envs.load_dataset(args.dataset)
     _fit_task(args, dataset)
     encoder = bpr.load_encoder(args.encoder, frozen=not args.co_train) if args.encoder else None
@@ -315,9 +301,8 @@ def _audit_invariants() -> dict:
         x = rng.normal(size=3)
         w = rng.normal(size=2)
         y, cache = numerics.forward(model, x)
-        grads, _ = numerics.backward(model, cache, w)
+        g, _ = numerics.backward(model, cache, w)
         flat = model.flat_parameters()
-        g = np.concatenate([gr.ravel() for gr in grads])
         h = 1e-5
         for i in rng.choice(flat.size, size=8, replace=False):
             fp, fm = flat.copy(), flat.copy()

@@ -4,7 +4,8 @@ symmetric eigenvalues and the binary checkpoint format.
 Everything is float64 and single-threaded: importing bprlab sets OpenBLAS to
 one thread unless OPENBLAS_NUM_THREADS is already set. Shapes follow the numpy
 row convention: a batch is (n, dim), a weight is (out_dim, in_dim). A model's
-parameters live in one contiguous vector, and Adam updates it in place.
+parameters live in one contiguous vector, backward returns their gradient as
+one vector in the same order, and Adam updates the parameters in place.
 """
 
 from __future__ import annotations
@@ -56,13 +57,8 @@ class MlpModel:
     def _bind(self, flat: np.ndarray) -> None:
         """Make `flat`, which already holds the parameters in parameters() order,
         the model's buffer, and every weight and bias a view into it."""
-        i = 0
-        for layer in self.layers:
-            for name in ("weight", "bias"):
-                shape = getattr(layer, name).shape
-                size = int(np.prod(shape))
-                setattr(layer, name, flat[i : i + size].reshape(shape))
-                i += size
+        for layer, (weight, bias) in zip(self.layers, _layer_views(self.layers, flat)):
+            layer.weight, layer.bias = weight, bias
         self.flat = flat
 
     @property
@@ -91,15 +87,27 @@ class MlpModel:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != self.flat.shape:
             raise RejectedInputError("flat parameter vector length mismatch")
-        _check_writable([self.flat])
+        check_writable([self.flat])
         self.flat[...] = flat
+
+
+def _layer_views(layers: list[Layer], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (weight, bias) as views into `flat`, in parameters() order: the
+    layout of a model's parameter buffer and of its gradient."""
+    views, i = [], 0
+    for layer in layers:
+        rows, cols = layer.weight.shape
+        w_end = i + rows * cols
+        views.append((flat[i:w_end].reshape(rows, cols), flat[w_end : w_end + rows]))
+        i = w_end + rows
+    return views
 
 
 def share_buffer(models: list[MlpModel]) -> np.ndarray:
     """Move the models' parameters into one new contiguous vector, in order, and
     return it. Each model's `flat` becomes a slice of it, so one Adam state and
     one in-place update cover all of them."""
-    _check_writable([m.flat for m in models])
+    check_writable([m.flat for m in models])
     joint = np.concatenate([m.flat for m in models])
     i = 0
     for m in models:
@@ -108,7 +116,7 @@ def share_buffer(models: list[MlpModel]) -> np.ndarray:
     return joint
 
 
-def _check_writable(arrays: list[np.ndarray]) -> None:
+def check_writable(arrays: list[np.ndarray]) -> None:
     for p in arrays:
         if not p.flags.writeable:
             raise ContractViolationError("parameters are read-only: the model is frozen")
@@ -165,11 +173,12 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
 
 def backward(
     model: MlpModel, cache: ForwardCache, output_gradient: np.ndarray, input_grad: bool = True,
-    param_grads: bool = True,
-) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
-    """Returns (gradients in parameters() order, gradient w.r.t. the input).
-    With input_grad=False the input gradient is not computed and is None; with
-    param_grads=False the parameter gradients are not computed and are None."""
+    param_grads: bool = True, out: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Returns (the parameter gradient as one vector in model.flat order, the
+    gradient w.r.t. the input); with param_grads=False or input_grad=False that
+    gradient is not computed and is None. The parameter gradient goes into `out`
+    when given, such as this model's slice of a share_buffer() gradient."""
     if cache.model_id != id(model) or len(cache.inputs) != len(model.layers):
         raise ContractViolationError("cache does not match this model/forward call")
     gy = np.asarray(output_gradient, dtype=np.float64)
@@ -177,7 +186,10 @@ def backward(
         gy = gy[None, :]
     if gy.shape != (cache.inputs[0].shape[0], model.output_dim):
         raise ContractViolationError("output gradient shape mismatch")
-    grads: list[np.ndarray] | None = [None] * (2 * len(model.layers)) if param_grads else None
+    grad = None
+    if param_grads:
+        grad = np.empty(model.flat.size) if out is None else out
+        views = _layer_views(model.layers, grad)
     # each layer's activation output; relu(z) > 0 exactly where z > 0
     outputs = cache.inputs[1:] + [cache.output]
     g = gy
@@ -194,10 +206,10 @@ def backward(
         else:
             gz = g
         if param_grads:
-            grads[2 * i] = gz.T @ cache.inputs[i]
-            grads[2 * i + 1] = gz.sum(axis=0)
+            np.matmul(gz.T, cache.inputs[i], out=views[i][0])
+            gz.sum(axis=0, out=views[i][1])
         if i == 0 and not input_grad:
-            return grads, None
+            return grad, None
         if layer.weight.shape[0] == 1:
             # an outer product, which numpy's k=1 matmul computes slowly; the
             # matmul's sum turns a -0.0 product into +0.0, and so does + 0.0
@@ -205,7 +217,7 @@ def backward(
             g += 0.0
         else:
             g = gz @ layer.weight
-    return grads, (g[0] if cache.single else g)
+    return grad, (g[0] if cache.single else g)
 
 
 def l2_normalize_with_grad(v: np.ndarray, eps_stability: float = 1e-8):
@@ -234,8 +246,8 @@ def l2_normalize_with_grad(v: np.ndarray, eps_stability: float = 1e-8):
 
 @dataclass
 class AdamState:
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 3e-4
     beta1: float = 0.9
@@ -243,43 +255,39 @@ class AdamState:
     eps_stability: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], learning_rate: float = 3e-4, **kw):
+    def for_params(cls, params: np.ndarray, learning_rate: float = 3e-4, **kw):
         return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
+            first_moment=np.zeros_like(params),
+            second_moment=np.zeros_like(params),
             learning_rate=learning_rate,
             **kw,
         )
 
 
-def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Bias-corrected Adam, in place: mutates state and every array in params,
-    and returns params."""
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise RejectedInputError("params/grads/state length mismatch")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError(f"non-finite gradient at parameter index {i}")
-    _check_writable(params)
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Bias-corrected Adam, in place: mutates state and params (a model's flat
+    buffer, or any one parameter array) and returns params."""
+    if grad.shape != params.shape or state.first_moment.shape != params.shape:
+        raise RejectedInputError("params/grad/state shape mismatch")
+    if not np.all(np.isfinite(grad)):
+        i = int(np.flatnonzero(~np.isfinite(grad))[0])
+        raise TrainingDivergenceError(f"non-finite gradient at index {i}")
+    check_writable([params])
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order of operations
-        step = m / bc1
-        step *= state.learning_rate
-        denom = v / bc2
-        np.sqrt(denom, out=denom)
-        denom += state.eps_stability
-        step /= denom
-        p -= step
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    # params -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order of operations
+    step = m / (1.0 - state.beta1**t)
+    step *= state.learning_rate
+    denom = v / (1.0 - state.beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps_stability
+    step /= denom
+    params -= step
     return params
 
 
@@ -328,6 +336,8 @@ def model_from_bytes(data: bytes) -> MlpModel:
         for _ in range(n_layers):
             rows, cols, tag = struct.unpack_from("<IIB", data, offset)
             offset += 9
+            if (rows * cols + rows) * 8 > len(data) - offset:
+                raise RejectedInputError(f"truncated checkpoint: a {rows}x{cols} layer runs past the end")
             w = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
             offset += rows * cols * 8
             b = np.frombuffer(data, dtype="<f8", count=rows, offset=offset)

@@ -127,8 +127,7 @@ def test_criterion_2_gradient_fidelity():
             m.set_flat_parameters(f)
             return agents.bc_loss_and_grads(agents.PolicyModel(m), x, act)[0]
 
-        worst["bc"] = max(worst["bc"], fd_worst(
-            bc_at, flat, np.concatenate([gr.ravel() for gr in g]), rng))
+        worst["bc"] = max(worst["bc"], fd_worst(bc_at, flat, g, rng))
 
         lam = float(rng.uniform(0.1, 3.0))
         _, g = agents.td3bc_actor_loss_and_grads(pol, q, x, act, lam)
@@ -138,8 +137,7 @@ def test_criterion_2_gradient_fidelity():
             m.set_flat_parameters(f)
             return agents.td3bc_actor_loss_and_grads(agents.PolicyModel(m), q, x, act, lam)[0]
 
-        worst["td3bc_actor"] = max(worst["td3bc_actor"], fd_worst(
-            td_at, flat, np.concatenate([gr.ravel() for gr in g]), rng))
+        worst["td3bc_actor"] = max(worst["td3bc_actor"], fd_worst(td_at, flat, g, rng))
 
         target = rng.normal(size=n)
         cand = rng.uniform(-1, 1, size=(n, int(rng.integers(2, 6)), dim))
@@ -153,8 +151,7 @@ def test_criterion_2_gradient_fidelity():
             return agents.cql_critic_loss_and_grads(agents.QModel(m), x, act,
                                                     target, cand, alpha)[0]
 
-        worst["cql_critic"] = max(worst["cql_critic"], fd_worst(
-            cql_at, qflat, np.concatenate([gr.ravel() for gr in g]), rng))
+        worst["cql_critic"] = max(worst["cql_critic"], fd_worst(cql_at, qflat, g, rng))
 
     elapsed = time.time() - t0
     for name, value in worst.items():

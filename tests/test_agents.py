@@ -11,10 +11,9 @@ def pm_dataset(n=600, seed=0, behavior="expert"):
 
 
 def fd_check_params(loss_fn, net, rel_tol=1e-5, n_coords=12, seed=0, h=1e-6):
-    """loss_fn(model) -> (loss, grads in parameters() order)."""
+    """loss_fn(model) -> (loss, gradient in model.flat order)."""
     rng = np.random.default_rng(seed)
-    _, grads = loss_fn(net)
-    analytic = np.concatenate([g.ravel() for g in grads])
+    _, analytic = loss_fn(net)
     flat = net.flat_parameters()
     idx = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
     for i in idx:
@@ -83,8 +82,7 @@ class TestLossGradients:
         l1, g1 = agents.critic_td_loss_and_grads(q, self.x, self.a, target)
         l2, g2 = agents.cql_critic_loss_and_grads(q, self.x, self.a, target, cand, alpha=0.0)
         assert abs(l1 - l2) < 1e-12
-        for a, b in zip(g1, g2):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(g1, g2, atol=1e-12)
 
     def test_td3bc_lambda_zero_equals_bc(self):
         pol = self._policy()
@@ -92,8 +90,7 @@ class TestLossGradients:
         l_bc, g_bc = agents.bc_loss_and_grads(pol, self.x, self.a)
         l_td, g_td = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, lam=0.0)
         assert abs(l_bc - l_td) < 1e-10
-        for a, b in zip(g_bc, g_td):
-            np.testing.assert_allclose(a, b, atol=1e-10)
+        np.testing.assert_allclose(g_bc, g_td, atol=1e-10)
 
     def test_td3bc_lambda_from_the_actor_forward_equals_the_two_forward_lambda(self):
         pol = self._policy()
@@ -104,12 +101,11 @@ class TestLossGradients:
         l_own, g_own = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, alpha=2.5)
         l_fix, g_fix = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, lam=lam)
         assert np.float64(l_own).tobytes() == np.float64(l_fix).tobytes()
-        for a, b in zip(g_own, g_fix):
-            assert a.tobytes() == b.tobytes()
-        # one ulp of lambda shows in the gradients
+        assert g_own.tobytes() == g_fix.tobytes()
+        # one ulp of lambda shows in the gradient
         _, g_ulp = agents.td3bc_actor_loss_and_grads(
             pol, q, self.x, self.a, lam=np.nextafter(lam, np.inf))
-        assert any(a.tobytes() != b.tobytes() for a, b in zip(g_own, g_ulp))
+        assert g_own.tobytes() != g_ulp.tobytes()
 
     def test_cql_actor_reuses_a_given_policy_forward(self):
         pol = self._policy()
@@ -118,21 +114,19 @@ class TestLossGradients:
         l2, g2 = agents.cql_actor_loss_and_grads(pol, q, self.x,
                                                  numerics.forward(pol.net, self.x))
         assert l1 == l2
-        for a, b in zip(g1, g2):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(g1, g2)
 
     def test_cql_penalty_pushes_down_candidates(self):
         # minimizing the penalty raises Q at the data action, lowers elsewhere
         q = agents.QModel.build(3, 2, (6,), self.rng)
         cand = self.rng.uniform(-1, 1, size=(8, 6, 2))
         target = q.value(self.x, self.a)  # zero TD term
-        _, grads = agents.cql_critic_loss_and_grads(q, self.x, self.a, target, cand, alpha=1.0)
-        adam = numerics.AdamState.for_params([q.net.flat], learning_rate=1e-2)
+        adam = numerics.AdamState.for_params(q.net.flat, learning_rate=1e-2)
         before_data = q.value(self.x, self.a).mean()
         before_cand = q.value(np.repeat(self.x, 6, axis=0), cand.reshape(-1, 2)).mean()
         for _ in range(200):
-            _, grads = agents.cql_critic_loss_and_grads(q, self.x, self.a, target, cand, alpha=1.0)
-            numerics.adam_step(adam, [q.net.flat], [np.concatenate(grads, axis=None)])
+            _, grad = agents.cql_critic_loss_and_grads(q, self.x, self.a, target, cand, alpha=1.0)
+            numerics.adam_step(adam, q.net.flat, grad)
         after_data = q.value(self.x, self.a).mean()
         after_cand = q.value(np.repeat(self.x, 6, axis=0), cand.reshape(-1, 2)).mean()
         assert (after_data - after_cand) > (before_data - before_cand) + 0.1
@@ -191,13 +185,20 @@ class TestBehaviorCloning:
     def test_fits_expert(self):
         ds = pm_dataset(800)
         cfg = agents.AgentConfig(algorithm="bc", gradient_steps=600, batch_size=128,
-                                 hidden=(32,), learning_rate=1e-3, eval_every=100)
-        res = agents.train_bc(ds, cfg)
+                                 hidden=(32,), learning_rate=1e-3, eval_every=100,
+                                 eval_episodes=2)
+        res = agents.train_bc(ds, cfg, env=envs.PointMassEnv())
         s, a, _, _, _ = ds.arrays()
         pred = res.policy.act(s[:200])
         mse = float(np.mean(np.sum((pred - a[:200]) ** 2, axis=1)))
         assert mse < 0.05
-        assert len(res.trace) == 6
+        # one eval row after every 100 done steps, as the other trainers write
+        assert [t["step"] for t in res.trace] == [100, 200, 300, 400, 500, 600]
+        for t in res.trace:
+            assert t["critic_loss"] is None and np.isfinite(t["actor_loss"])
+            assert np.isfinite(t["eval_return_mean"]) and t["eval_return_std"] >= 0.0
+        # without an env there is nothing to evaluate, so no rows
+        assert agents.train_bc(ds, cfg).trace == []
 
     def test_with_frozen_encoder(self):
         ds = pm_dataset(300)
@@ -207,6 +208,27 @@ class TestBehaviorCloning:
                                  batch_size=64, hidden=(16,))
         res = agents.train_bc(ds, cfg, enc)
         assert res.policy.net.input_dim == 8
+
+    def test_encoder_missing_or_probe_without_critic_rejected(self):
+        ds = pm_dataset(100)
+        with pytest.raises(RejectedInputError, match="requires an encoder"):
+            agents.train_bc(ds, agents.AgentConfig(algorithm="bc", use_encoder=True,
+                                                   gradient_steps=1))
+        from bprlab.analysis import make_probe_batch
+        with pytest.raises(RejectedInputError, match="no critic"):
+            agents.train_bc(ds, agents.AgentConfig(algorithm="bc", gradient_steps=1),
+                            probe_batch=make_probe_batch(ds, 8), probe_every=1)
+
+    def test_frozen_encoder_that_changes_is_caught(self, monkeypatch):
+        ds = pm_dataset(100)
+        enc, _, _, _ = bpr.pretrain(ds, bpr.PretrainConfig(
+            steps=1, batch_size=16, repr_dim=4, encoder_hidden=(8,), predictor_hidden=(8,)))
+        hashes = iter(["before", "after"])
+        monkeypatch.setattr(enc, "param_hash", lambda: next(hashes))
+        cfg = agents.AgentConfig(algorithm="bc", use_encoder=True, gradient_steps=2,
+                                 batch_size=8, hidden=(8,))
+        with pytest.raises(ContractViolationError, match="frozen encoder"):
+            agents.train_bc(ds, cfg, enc)
 
 
 class TestTd3bc:
@@ -340,7 +362,7 @@ def reference_cql_tabular(dataset, n_states, n_actions, config, nudge_targets=Fa
     temp = config.cql_temp
     q = np.zeros((n_states, n_actions))
     q_t = q.copy()
-    adam = numerics.AdamState.for_params([q], config.learning_rate)
+    adam = numerics.AdamState.for_params(q, config.learning_rate)
     trace = []
     for step in range(config.gradient_steps):
         idx = rng.integers(0, len(s), size=min(config.batch_size, len(s)))
@@ -367,7 +389,7 @@ def reference_cql_tabular(dataset, n_states, n_actions, config, nudge_targets=Fa
             loss += float(config.cql_alpha * np.mean(lse - q[si, ai]))
             np.add.at(grad, (si,), config.cql_alpha * soft / len(idx))
             np.add.at(grad, (si, ai), -config.cql_alpha / len(idx))
-        numerics.adam_step(adam, [q], [grad])
+        numerics.adam_step(adam, q, grad)
         if (step + 1) % config.cql_target_every == 0:
             q_t = q.copy()
         if config.eval_every and (step + 1) % config.eval_every == 0:
@@ -471,3 +493,17 @@ class TestConfigValidation:
     def test_co_train_requires_encoder(self):
         with pytest.raises(RejectedInputError):
             agents.AgentConfig(co_train_encoder=True, use_encoder=False)
+
+    @pytest.mark.parametrize("algorithm", ["bc", "cql", "spibb"])
+    def test_co_train_requires_td3bc(self, algorithm):
+        with pytest.raises(RejectedInputError, match="td3bc"):
+            agents.AgentConfig(algorithm=algorithm, use_encoder=True, co_train_encoder=True)
+        agents.AgentConfig(algorithm="td3bc", use_encoder=True, co_train_encoder=True)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -1), ("gradient_steps", -1), ("seed", -1),
+        ("repr_dim", 0), ("hidden", (64, 0)), ("hidden", (-3,)),
+    ])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(RejectedInputError, match="must be >= "):
+            agents.AgentConfig(**{field: value})

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bprlab import agents, bpr, envs, numerics
-from bprlab.errors import BprlabError, ContractViolationError, UnusableDatasetError
+from bprlab.errors import (
+    BprlabError,
+    ContractViolationError,
+    RejectedInputError,
+    UnusableDatasetError,
+)
 
 finite_vec = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), min_size=2, max_size=5
@@ -102,9 +107,9 @@ class TestLossGradients:
         pred = bpr.PredictorModel.build(3, 2, (5,), rng)
         s = rng.normal(size=(6, 4))
         a = rng.normal(size=(6, 2)) + 0.3
-        _, enc_grads, pred_grads = bpr.bpr_batch_grads(enc, pred, s, a)
+        _, grad = bpr.bpr_batch_grads(enc, pred, s, a)
         flat = enc.net.flat_parameters()
-        analytic = np.concatenate([g.ravel() for g in enc_grads])
+        analytic = grad[: flat.size]  # the encoder's part comes first
         h = 1e-6
         idx = rng.choice(flat.size, size=10, replace=False)
         for i in idx:
@@ -139,6 +144,14 @@ class TestFiltering:
 class TestPretrain:
     CFG = dict(batch_size=64, repr_dim=8, encoder_hidden=(16,), predictor_hidden=(16,))
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", -1), ("seed", -1), ("batch_size", 0), ("repr_dim", 0),
+        ("encoder_hidden", (16, -2)), ("predictor_hidden", (0,)),
+    ])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(RejectedInputError, match="must be >= "):
+            bpr.PretrainConfig(**{**self.CFG, field: value})
+
     def test_loss_decreases(self):
         ds = small_dataset()
         enc, trace, _, _ = bpr.pretrain(ds, bpr.PretrainConfig(steps=400, **self.CFG))
@@ -153,8 +166,8 @@ class TestPretrain:
 
     @pytest.mark.parametrize("write", [
         lambda enc: enc.net.set_flat_parameters(np.zeros_like(enc.net.flat)),
-        lambda enc: numerics.adam_step(numerics.AdamState.for_params([enc.net.flat]),
-                                       [enc.net.flat], [np.ones_like(enc.net.flat)]),
+        lambda enc: numerics.adam_step(numerics.AdamState.for_params(enc.net.flat),
+                                       enc.net.flat, np.ones_like(enc.net.flat)),
         lambda enc: agents._soft_update(enc.net.flat, np.zeros_like(enc.net.flat), 0.5),
         lambda enc: numerics.share_buffer([enc.net]),
     ], ids=["set_flat_parameters", "adam_step", "soft_update", "share_buffer"])

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bprlab import agents, cli, envs, numerics
 from bprlab.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE
@@ -87,6 +90,16 @@ class TestPretrain:
     def test_missing_dataset_is_usage_error(self, workdir):
         assert run(["pretrain", "--dataset", "nope.jsonl", "--steps", "1",
                     "--out", "."]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [
+        ["--hidden", "-2"], ["--hidden", "8", "0"], ["--batch-size", "0"], ["--seed", "-1"],
+    ], ids=["hidden-negative", "hidden-zero", "batch-zero", "seed-negative"])
+    def test_bad_value_is_usage_error(self, workdir, capsys, flags):
+        run(["gen-data", "--task", "pointmass", "--n", "100", "--name", "d.jsonl", "--out", "."])
+        capsys.readouterr()
+        assert run(["pretrain", "--dataset", "d.jsonl", "--steps", "2", *flags,
+                    "--out", "."]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestTrain:
@@ -269,9 +282,18 @@ _TRAIN_BC = ["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "
     ([], json.dumps({"seeds": 0})),
     ([], json.dumps({"func": "cmd_audit"})),
     ([], json.dumps({"help": True})),
+    (["--batch-size", "-1"], None),
+    (["--batch-size", "0"], None),
+    (["--hidden", "-3"], None),
+    (["--hidden", "8", "0"], None),
+    (["--gradient-steps", "-1"], None),
+    (["--probe-ed", "5"], None),
+    (["--co-train"], None),
 ], ids=["seeds-not-int", "seeds-empty", "seeds-negative", "config-not-json",
         "config-not-object", "hidden-int", "hidden-empty", "steps-string", "lr-bool",
-        "co-train-int", "seeds-int", "not-a-flag-func", "not-a-flag-help"])
+        "co-train-int", "seeds-int", "not-a-flag-func", "not-a-flag-help",
+        "batch-negative", "batch-zero", "hidden-negative", "hidden-zero", "steps-negative",
+        "probe-without-critic", "co-train-bc"])
 def test_bad_flag_or_config_value_is_usage_error(workdir, capsys, flags, config):
     run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
     if config is not None:
@@ -284,11 +306,15 @@ def test_bad_flag_or_config_value_is_usage_error(workdir, capsys, flags, config)
 
 def test_corrupt_encoder_checkpoint_is_usage_error(workdir, capsys):
     run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
-    net = numerics.init_mlp([4, 8, 4], ["relu", "identity"], np.random.default_rng(0))
-    (workdir / "bad.ckpt").write_bytes(numerics.checkpoint_bytes(net)[:-5])
-    capsys.readouterr()
-    assert run([*_TRAIN_BC, "--encoder", "bad.ckpt"]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error:")
+    blob = numerics.checkpoint_bytes(
+        numerics.init_mlp([4, 8, 4], ["relu", "identity"], np.random.default_rng(0)))
+    # truncated, and a first layer header whose rows x cols overflows ssize_t
+    huge = blob[:12] + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0) + blob[21:]
+    for bad in (blob[:-5], huge):
+        (workdir / "bad.ckpt").write_bytes(bad)
+        capsys.readouterr()
+        assert run([*_TRAIN_BC, "--encoder", "bad.ckpt"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("task, algo, name, tag", [
@@ -416,3 +442,59 @@ class TestReport:
         lines = open("tdr-curve.csv").read().splitlines()
         assert lines[0] == "step,mean,std"
         assert len(lines) == 3  # evals at steps 20 and 40
+
+
+# Numeric flag values stay small where they size an array: a width or batch in
+# the millions would only test the machine's memory.
+_SMALL = st.integers(-3, 16)
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_FUZZED_VALUES = {
+    "train": {"--gradient-steps": st.integers(-2, 3), "--batch-size": _SMALL,
+              "--seeds": st.integers(-1, 2), "--gamma": _ANY_FLOAT,
+              "--learning-rate": _ANY_FLOAT, "--n-wedge": _ANY_FLOAT, "--cql-alpha": _ANY_FLOAT,
+              "--eval-every": st.integers(-3, 4), "--threshold": _ANY_FLOAT,
+              "--probe-ed": st.integers(-2, 3)},
+    "pretrain": {"--steps": st.integers(-2, 3), "--batch-size": _SMALL,
+                 "--seed": st.integers(-2, 3), "--repr-dim": _SMALL,
+                 "--learning-rate": _ANY_FLOAT},
+}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZED_VALUES)))
+    if command == "train":
+        algo = draw(st.sampled_from(["bc", "td3bc", "cql"]))
+        argv = ["train", "--task", "pointmass", "--algo", algo, "--gradient-steps", "3"]
+    else:
+        argv = ["pretrain", "--steps", "3"]
+    values = _FUZZED_VALUES[command]
+    # flag=value, so that argparse reads "-inf" as a value; a later flag wins
+    for flag in draw(st.lists(st.sampled_from(sorted(values)), unique=True)):
+        argv.append(f"{flag}={draw(values[flag])}")
+    if draw(st.booleans()):
+        argv += ["--hidden", *map(str, draw(st.lists(_SMALL, min_size=1, max_size=3)))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def pointmass_200(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    assert run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl",
+                "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan values overflow
+@settings(max_examples=100, deadline=None)
+@given(argv=_fuzzed_argv())
+@example(argv=["train", "--task", "pointmass", "--algo", "bc", "--gradient-steps", "3",
+               "--batch-size=-1"])
+@example(argv=["train", "--task", "pointmass", "--algo", "td3bc", "--gradient-steps", "3",
+               "--hidden", "-3"])
+@example(argv=["train", "--task", "pointmass", "--algo", "bc", "--gradient-steps", "3",
+               "--probe-ed=5"])
+@example(argv=["pretrain", "--steps", "3", "--hidden", "-2"])
+def test_fuzzed_numeric_flags_exit_0_1_or_2_and_never_raise(pointmass_200, argv):
+    out = str(pointmass_200)
+    assert run([*argv, "--dataset", os.path.join(out, "d.jsonl"), "--out", out]) in (0, 1, 2)
