@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .bpr import EncoderModel, build_encoder
+from .bpr import EncoderModel, build_encoder, check_learning_rate
 from .envs import (
     OfflineDataset,
     PointMassEnv,
@@ -74,6 +74,16 @@ class AgentConfig:
                 raise RejectedInputError(f"{name} must be >= {low}, not {getattr(self, name)}")
         if any(h < 1 for h in self.hidden):
             raise RejectedInputError(f"every hidden width must be >= 1, not {self.hidden}")
+        check_learning_rate("learning_rate", self.learning_rate)
+        if self.co_train_encoder_lr is not None:
+            check_learning_rate("co_train_encoder_lr", self.co_train_encoder_lr)
+        if not (np.isfinite(self.cql_alpha) and self.cql_alpha >= 0.0):
+            raise RejectedInputError(f"cql_alpha must be finite and >= 0, not {self.cql_alpha}")
+        if not self.cql_temp > 0.0:
+            raise RejectedInputError(f"cql_temp must be positive, not {self.cql_temp}")
+        if self.cql_target_every < 1:
+            raise RejectedInputError(f"cql_target_every must be at least 1, not "
+                                     f"{self.cql_target_every}")
 
 
 class PolicyModel:
@@ -200,9 +210,9 @@ def cql_critic_loss_and_grads(q: QModel, x: np.ndarray, a_data: np.ndarray,
     loss = float(np.mean(td * td))
     g_qd = 2.0 * td / n
 
-    xc = np.repeat(x, m, axis=0)
-    ac = candidates.reshape(n * m, adim)
-    qc, ccache = numerics.forward(q.net, np.concatenate([xc, ac], axis=1))
+    # the repeated x rows live only until they are joined to the candidates
+    qin = np.concatenate([np.repeat(x, m, axis=0), candidates.reshape(n * m, adim)], axis=1)
+    qc, ccache = numerics.forward(q.net, qin)
     qc = qc.reshape(n, m)
     mx = qc.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.sum(np.exp(qc - mx), axis=1))
@@ -240,11 +250,31 @@ class TrainResult:
     psi_trace: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
+def _state_table(states: np.ndarray, next_states: np.ndarray):
+    """(table, x2_rows) with next_states[i] equal to table[x2_rows[i]] byte for
+    byte. The table holds the rows of states, then only those next states that
+    are not byte for byte the following row's state, compared through an int64
+    view so that -0.0 and 0.0 stay apart: in a log of whole episodes, one row per
+    episode end."""
+    n = len(states)
+    fresh = np.ones(n, dtype=bool)
+    fresh[:-1] = np.any(next_states[:-1].view(np.int64) != states[1:].view(np.int64), axis=1)
+    x2_rows = np.arange(1, n + 1)
+    x2_rows[fresh] = n + np.arange(np.count_nonzero(fresh))
+    return np.concatenate([states, next_states[fresh]]), x2_rows
+
+
 def _encoder_inputs(config: AgentConfig, encoder: EncoderModel | None, state_dim: int,
-                    rng: np.random.Generator, *states: np.ndarray):
-    """Check the encoder against the config and return it with one input per state
-    array: the encoder's fixed representation of the array, or the array itself
-    without an encoder or when co-training (from rng if no encoder is given)."""
+                    rng: np.random.Generator, states: np.ndarray,
+                    next_states: np.ndarray | None = None):
+    """Check the encoder against the config and return (encoder, x, x2, x2_rows):
+    state i's input is x[i] and, when next_states are given, next state i's is
+    x2[x2_rows[i]]. A fixed encoder encodes the _state_table of both in one pass,
+    which x and x2 then share; without an encoder, or when co-training (from rng
+    if no encoder is given), x and x2 are the arrays themselves and x2_rows is the
+    identity. Every row of the table is encoded in a batch of many rows, so it
+    has the bytes of encoding its own array."""
+    x2_rows = None if next_states is None else np.arange(len(states))
     if config.co_train_encoder:
         if encoder is None:
             encoder = build_encoder(state_dim, config.repr_dim, config.hidden, rng)
@@ -253,8 +283,12 @@ def _encoder_inputs(config: AgentConfig, encoder: EncoderModel | None, state_dim
     elif config.use_encoder:
         if encoder is None:
             raise RejectedInputError("use_encoder requires an encoder")
-        states = tuple(encoder.encode(s) for s in states)
-    return encoder, states
+        if next_states is None:
+            states = encoder.encode(states)
+        else:
+            table, x2_rows = _state_table(states, next_states)
+            states = next_states = encoder.encode(table)
+    return encoder, states, next_states, x2_rows
 
 
 def _rollout_policy(policy: PolicyModel, encoder: EncoderModel | None, use_encoder: bool):
@@ -353,7 +387,7 @@ def train_bc(dataset: OfflineDataset, config: AgentConfig,
              probe_batch=None, probe_every: int = 0) -> TrainResult:
     states, actions, _, _, _ = dataset.arrays()
     rng = np.random.default_rng(config.seed)
-    encoder, (x_all,) = _encoder_inputs(config, encoder, dataset.state_dim, rng, states)
+    encoder, x_all, _, _ = _encoder_inputs(config, encoder, dataset.state_dim, rng, states)
     policy = PolicyModel.build(x_all.shape[1], dataset.action_dim, config.hidden, rng)
     adam = numerics.AdamState.for_params(policy.net.flat, config.learning_rate)
 
@@ -375,8 +409,8 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
     states, actions, rewards, next_states, dones = dataset.arrays()
     rng = np.random.default_rng(config.seed)
     co_train = config.co_train_encoder
-    encoder, (x_all, x2_all) = _encoder_inputs(config, encoder, dataset.state_dim, rng,
-                                               states, next_states)
+    encoder, x_all, x2_all, x2_rows = _encoder_inputs(config, encoder, dataset.state_dim,
+                                                      rng, states, next_states)
     input_dim = encoder.repr_dim if config.use_encoder else dataset.state_dim
     adim = dataset.action_dim
 
@@ -407,7 +441,7 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
             xb, enc_cache = numerics.forward(encoder.net, states[idx])
             x2b = encoder.encode(next_states[idx])
         else:
-            xb, x2b = x_all[idx], x2_all[idx]
+            xb, x2b = x_all[idx], x2_all[x2_rows[idx]]
         ab, rb, db = actions[idx], rewards[idx], dones[idx]
 
         noise = np.clip(rng.normal(0.0, config.target_noise, size=(len(idx), adim)),
@@ -455,8 +489,8 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
                          probe_batch=None, probe_every: int = 0) -> TrainResult:
     states, actions, rewards, next_states, dones = dataset.arrays()
     rng = np.random.default_rng(config.seed)
-    encoder, (x_all, x2_all) = _encoder_inputs(config, encoder, dataset.state_dim, rng,
-                                               states, next_states)
+    encoder, x_all, x2_all, x2_rows = _encoder_inputs(config, encoder, dataset.state_dim,
+                                                      rng, states, next_states)
     input_dim, adim = x_all.shape[1], dataset.action_dim
 
     policy = PolicyModel.build(input_dim, adim, config.hidden, rng)
@@ -467,7 +501,8 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
 
     def step_fn(step):
         idx = rng.integers(0, states.shape[0], size=config.batch_size)
-        xb, x2b, ab, rb, db = x_all[idx], x2_all[idx], actions[idx], rewards[idx], dones[idx]
+        xb, x2b = x_all[idx], x2_all[x2_rows[idx]]
+        ab, rb, db = actions[idx], rewards[idx], dones[idx]
         target = rb + config.gamma * (1.0 - db.astype(np.float64)) * q_t.value(x2b, policy.act(x2b))
         cand = rng.uniform(-1.0, 1.0, size=(len(idx), config.cql_n_samples, adim))
         # the policy's forward pass on xb serves the candidates and the actor loss
@@ -516,10 +551,6 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
     s, a, r, s2, d = tabular_indices(dataset)
     rng = np.random.default_rng(config.seed)
     temp, alpha, every = config.cql_temp, config.cql_alpha, config.cql_target_every
-    if temp <= 0.0:
-        raise RejectedInputError("cql_temp must be positive")
-    if every < 1:
-        raise RejectedInputError("cql_target_every must be at least 1")
     n = min(config.batch_size, len(s))
     cols = np.arange(n_actions)
     # gradient terms in accumulation order: n TD terms, n softmax rows, n -alpha/n terms

@@ -36,6 +36,12 @@ class PretrainConfig:
                 raise RejectedInputError(f"{name} must be >= {low}, not {getattr(self, name)}")
         if any(h < 1 for h in (*self.encoder_hidden, *self.predictor_hidden)):
             raise RejectedInputError("every hidden width must be >= 1")
+        check_learning_rate("learning_rate", self.learning_rate)
+
+
+def check_learning_rate(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise RejectedInputError(f"{name} must be finite and > 0, not {value}")
 
 
 class EncoderModel:
@@ -64,16 +70,16 @@ class EncoderModel:
 
     def encode(self, state: np.ndarray) -> np.ndarray:
         """The representation of one state or of a batch of rows. A batch of more
-        than ROW_BLOCK rows runs in near-equal blocks (envs.row_blocks) into one
-        output array, so the hidden activations it holds at once are those of
-        one block; every output byte equals that of a one-pass forward."""
+        than ROW_BLOCK rows runs in near-equal blocks (envs.row_blocks), each
+        writing its rows of one output array in place, so the hidden activations
+        it holds at once are those of one block; every output byte equals that of
+        a one-pass forward."""
         blocks = row_blocks(len(state)) if np.ndim(state) == 2 else []
         if len(blocks) < 2:
             return numerics.forward(self.net, state)[0]
         out = np.empty((len(state), self.repr_dim))
         for b in blocks:
-            # [0] drops the block's cache before the next block runs
-            out[b] = numerics.forward(self.net, state[b])[0]
+            numerics.forward(self.net, state[b], out=out[b])
         return out
 
     def param_hash(self) -> str:
@@ -178,6 +184,9 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
             raise TrainingDivergenceError(f"non-finite pretrain loss at step {step}")
         numerics.adam_step(adam, params, grad)
         trace[step] = loss
+    if not np.all(np.isfinite(params)):
+        raise TrainingDivergenceError("non-finite encoder or predictor parameters after "
+                                      f"{config.steps} pretrain steps")
     encoder.freeze()
     return encoder, trace, predictor, n_dropped
 

@@ -149,7 +149,11 @@ class ForwardCache:
     output: np.ndarray | None = None  # the last layer's activation (n, out)
 
 
-def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward(model: MlpModel, x: np.ndarray,
+            out: np.ndarray | None = None) -> tuple[np.ndarray, ForwardCache]:
+    """(output, cache) of the model on one row or an (n, input_dim) batch. The last
+    layer writes into `out` when given, an (n, output_dim) float64 array such as a
+    slice of a larger result, and the output is then `out` itself."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -162,9 +166,10 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         raise RejectedInputError("non-finite input")
     cache = ForwardCache(model_id=id(model), single=single)
     h = x
-    for layer in model.layers:
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
         cache.inputs.append(h)
-        h = h @ layer.weight.T
+        h = np.matmul(h, layer.weight.T, out=out if i == last else None)
         h += layer.bias
         _activate_in_place(h, layer.activation)
     cache.output = h
@@ -193,12 +198,13 @@ def backward(
     # each layer's activation output; relu(z) > 0 exactly where z > 0
     outputs = cache.inputs[1:] + [cache.output]
     g = gy
-    for i in range(len(model.layers) - 1, -1, -1):
+    top = len(model.layers) - 1
+    for i in range(top, -1, -1):
         layer, out = model.layers[i], outputs[i]
-        # gz = g * activation'(z), computed in one new array
+        # gz = g * activation'(z); below the top layer g is this call's own array,
+        # so the relu mask goes into it in place, never into output_gradient
         if layer.activation == "relu":
-            gz = (out > 0.0).astype(np.float64)
-            gz *= g
+            gz = np.multiply(g, out > 0.0, out=g if i < top else None)
         elif layer.activation == "tanh":
             gz = out * out
             np.subtract(1.0, gz, out=gz)
@@ -342,6 +348,9 @@ def model_from_bytes(data: bytes) -> MlpModel:
             offset += rows * cols * 8
             b = np.frombuffer(data, dtype="<f8", count=rows, offset=offset)
             offset += rows * 8
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise RejectedInputError(f"checkpoint layer {len(layers)} has non-finite "
+                                         "weights or biases")
             layers.append(Layer(w, b, _TAG_ACT.get(tag, f"tag {tag}")))
     except (struct.error, ValueError) as exc:  # the bytes end before the layers do
         raise RejectedInputError(f"truncated checkpoint: {exc}") from None

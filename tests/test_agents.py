@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,80 @@ class TestTd3bc:
         assert res.psi_trace[0][1].shape == (32, 8)
 
 
+@pytest.fixture(scope="module")
+def mixture_20k():
+    """The 20 000-row medium-expert point-mass mixture of criteria 7 and 8."""
+    env = envs.PointMassEnv()
+    mix = [(0.5, envs.pointmass_behavior("expert", env)),
+           (0.5, envs.pointmass_behavior("medium", env))]
+    return envs.generate_dataset(env, mix, 20_000, 0, behavior_tag="pointmass:medium-expert")
+
+
+class TestStateTable:
+    """Frozen TD3+BC and continuous CQL encode one table of the states and the
+    next states that do not repeat the following row's state."""
+
+    ENCODER_SHAPES = [((64,), 32), ((64,), 16), ((256, 256), 64)]
+
+    def _check(self, states, next_states, encoder):
+        table, x2_rows = agents._state_table(states, next_states)
+        assert table[x2_rows].tobytes() == next_states.tobytes()
+        x_table = encoder.encode(table)
+        assert x_table[: len(states)].tobytes() == encoder.encode(states).tobytes()
+        assert x_table[x2_rows].tobytes() == encoder.encode(next_states).tobytes()
+        return table
+
+    @pytest.mark.parametrize("hidden, repr_dim", ENCODER_SHAPES)
+    def test_encoded_table_has_the_bytes_of_encoding_each_array(self, mixture_20k,
+                                                                hidden, repr_dim):
+        # the table relies on a row's encoding not depending on the other rows
+        # of a multi-row matmul; a one-row forward may round differently, and
+        # no table row comes from one
+        s, _, _, s2, d = mixture_20k.arrays()
+        enc = bpr.build_encoder(4, repr_dim, hidden, np.random.default_rng(0)).freeze()
+        table = self._check(s, s2, enc)
+        # one fresh next state per episode end: the log holds whole episodes
+        assert len(table) == len(s) + np.count_nonzero(d) + (not d[-1])
+        perm = np.random.default_rng(1).permutation(len(s))
+        self._check(s[perm], s2[perm], enc)  # shuffled: nearly every next state is fresh
+        for rows in (slice(0, 256), slice(0, 3), slice(500, 757)):
+            self._check(s[rows], s2[rows], enc)
+
+    def test_signed_zeros_and_episode_ends_are_fresh_rows(self):
+        enc = bpr.build_encoder(2, 8, (16,), np.random.default_rng(2)).freeze()
+        states = np.array([[0.0, 1.0], [0.0, 2.0], [-0.0, 3.0], [5.0, 5.0], [6.0, 6.0]])
+        next_states = np.array([[0.0, 2.0], [0.0, 3.0], [5.0, 5.0], [9.0, 9.0], [7.0, 7.0]])
+        # row 1's next state is row 2's state up to the sign of zero; row 3 ends
+        # an episode; the last next state has no following row
+        table = self._check(states, next_states, enc)
+        np.testing.assert_array_equal(table[5:], next_states[[1, 3, 4]])
+        assert np.signbit(table[5, 0]) == np.signbit(next_states[1, 0])
+        _, x2_rows = agents._state_table(states, next_states)
+        assert x2_rows.tolist() == [1, 5, 3, 6, 7]
+
+    def test_raw_states_are_read_through_an_identity_index(self, mixture_20k):
+        s, _, _, s2, _ = mixture_20k.arrays()
+        cfg = agents.AgentConfig(algorithm="td3bc")
+        _, x, x2, x2_rows = agents._encoder_inputs(cfg, None, 4, None, s, s2)
+        assert x is s and x2 is s2
+        np.testing.assert_array_equal(x2_rows, np.arange(len(s)))
+
+    @pytest.mark.parametrize("algorithm, train, bound", [
+        ("td3bc", agents.train_td3bc, 2.0), ("cql", agents.train_cql_continuous, 3.0)])
+    def test_frozen_training_holds_one_encoded_copy(self, mixture_20k, algorithm, train,
+                                                    bound):
+        # a second encoded (n, repr_dim) array would add 1.0 to the ratio
+        enc = bpr.build_encoder(4, 32, (64,), np.random.default_rng(0)).freeze()
+        cfg = agents.AgentConfig(algorithm=algorithm, use_encoder=True, gradient_steps=2)
+        tracemalloc.start()
+        try:
+            train(mixture_20k, cfg, enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * mixture_20k.n * enc.repr_dim * 8
+
+
 class TestTabularCql:
     def make_chain(self):
         # 3-state deterministic chain: a1 advances (reward on reaching goal),
@@ -349,8 +425,8 @@ class TestTabularCql:
     def test_nonpositive_temperature_rejected(self):
         mdp = self.make_chain()
         ds = envs.generate_tabular_dataset(mdp, envs.TabularPolicy.uniform(3, 2), 100, seed=0)
-        cfg = agents.AgentConfig(algorithm="cql", gamma=0.9, cql_temp=0.0)
         with pytest.raises(RejectedInputError):
+            cfg = agents.AgentConfig(algorithm="cql", gamma=0.9, cql_temp=0.0)
             agents.train_cql(ds, cfg, tabular_shape=(3, 2))
 
 
@@ -436,8 +512,8 @@ class TestTabularCqlMatchesPerSampleLoop:
 
     def test_target_period_below_one_rejected(self):
         ds, shape = self.counterexample_data()
-        cfg = agents.AgentConfig(algorithm="cql", cql_target_every=0)
         with pytest.raises(RejectedInputError):
+            cfg = agents.AgentConfig(algorithm="cql", cql_target_every=0)
             agents.train_cql_tabular(ds, *shape, cfg)
 
 
@@ -507,3 +583,14 @@ class TestConfigValidation:
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(RejectedInputError, match="must be >= "):
             agents.AgentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.nan), ("learning_rate", -1.0), ("learning_rate", 0.0),
+        ("learning_rate", np.inf), ("co_train_encoder_lr", np.nan), ("co_train_encoder_lr", 0.0),
+        ("cql_alpha", -1.0), ("cql_alpha", np.inf), ("cql_alpha", np.nan),
+        ("cql_temp", 0.0), ("cql_temp", np.nan), ("cql_target_every", 0),
+    ])
+    def test_bad_rate_or_cql_setting_rejected(self, field, value):
+        with pytest.raises(RejectedInputError, match=field):
+            agents.AgentConfig(**{field: value})
+        agents.AgentConfig(cql_alpha=0.0, co_train_encoder_lr=1e-3)

@@ -12,6 +12,7 @@ from bprlab.errors import (
     BprlabError,
     ContractViolationError,
     RejectedInputError,
+    TrainingDivergenceError,
     UnusableDatasetError,
 )
 
@@ -151,6 +152,20 @@ class TestPretrain:
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(RejectedInputError, match="must be >= "):
             bpr.PretrainConfig(**{**self.CFG, field: value})
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_learning_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(RejectedInputError, match="learning_rate must be finite and > 0"):
+            bpr.PretrainConfig(**{**self.CFG, "learning_rate": value})
+
+    def test_non_finite_final_parameters_are_a_divergence(self):
+        # a learning rate the config would reject, set after construction: one
+        # step has a finite loss and leaves non-finite parameters
+        cfg = bpr.PretrainConfig(steps=1, **self.CFG)
+        cfg.learning_rate = np.inf
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError,
+                                                      match="non-finite encoder"):
+            bpr.pretrain(small_dataset(100), cfg)
 
     def test_loss_decreases(self):
         ds = small_dataset()

@@ -93,13 +93,25 @@ class TestPretrain:
 
     @pytest.mark.parametrize("flags", [
         ["--hidden", "-2"], ["--hidden", "8", "0"], ["--batch-size", "0"], ["--seed", "-1"],
-    ], ids=["hidden-negative", "hidden-zero", "batch-zero", "seed-negative"])
+        ["--learning-rate=inf"], ["--learning-rate=-1"],
+    ], ids=["hidden-negative", "hidden-zero", "batch-zero", "seed-negative", "lr-inf",
+            "lr-negative"])
     def test_bad_value_is_usage_error(self, workdir, capsys, flags):
         run(["gen-data", "--task", "pointmass", "--n", "100", "--name", "d.jsonl", "--out", "."])
         capsys.readouterr()
         assert run(["pretrain", "--dataset", "d.jsonl", "--steps", "2", *flags,
                     "--out", "."]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_infinite_learning_rate_is_rejected_before_a_checkpoint_is_written(
+            self, workdir, capsys):
+        # one step at an infinite rate has a finite loss and non-finite parameters
+        run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+        capsys.readouterr()
+        assert run(["pretrain", "--dataset", "d.jsonl", "--steps", "1", "--learning-rate=inf",
+                    "--out", "."]) == EXIT_USAGE
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not os.path.exists("encoder.ckpt")
 
 
 class TestTrain:
@@ -289,11 +301,13 @@ _TRAIN_BC = ["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "
     (["--gradient-steps", "-1"], None),
     (["--probe-ed", "5"], None),
     (["--co-train"], None),
+    (["--cql-alpha=-1"], None),
+    (["--learning-rate=nan"], None),
 ], ids=["seeds-not-int", "seeds-empty", "seeds-negative", "config-not-json",
         "config-not-object", "hidden-int", "hidden-empty", "steps-string", "lr-bool",
         "co-train-int", "seeds-int", "not-a-flag-func", "not-a-flag-help",
         "batch-negative", "batch-zero", "hidden-negative", "hidden-zero", "steps-negative",
-        "probe-without-critic", "co-train-bc"])
+        "probe-without-critic", "co-train-bc", "cql-alpha-negative", "lr-nan"])
 def test_bad_flag_or_config_value_is_usage_error(workdir, capsys, flags, config):
     run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
     if config is not None:
@@ -315,6 +329,16 @@ def test_corrupt_encoder_checkpoint_is_usage_error(workdir, capsys):
         capsys.readouterr()
         assert run([*_TRAIN_BC, "--encoder", "bad.ckpt"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_finite_encoder_checkpoint_is_rejected_at_load(workdir, capsys):
+    run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+    model = numerics.init_mlp([4, 8, 4], ["relu", "identity"], np.random.default_rng(0))
+    model.layers[0].weight[2, 1] = np.nan
+    (workdir / "nan.ckpt").write_bytes(numerics.checkpoint_bytes(model))
+    capsys.readouterr()
+    assert run([*_TRAIN_BC, "--encoder", "nan.ckpt"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: checkpoint layer 0 has non-finite weights or biases\n"
 
 
 @pytest.mark.parametrize("task, algo, name, tag", [

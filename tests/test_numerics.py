@@ -133,6 +133,50 @@ class TestForwardBackward:
         assert got.base is joint and got.tobytes() == grad.tobytes()
         assert (joint[:2] == 7.0).all() and (joint[-2:] == 7.0).all()
 
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("single", [False, True])
+    def test_backward_keeps_the_output_gradient_and_the_out_of_place_bytes(self, act, single):
+        # below the top layer backward multiplies the relu mask into its own
+        # gradient array in place; the caller's output gradient stays untouched
+        def reference(model, cache, gy):
+            outputs, g, grads = cache.inputs[1:] + [cache.output], gy, []
+            for i in range(len(model.layers) - 1, -1, -1):
+                layer, out = model.layers[i], outputs[i]
+                if layer.activation == "relu":
+                    gz = (out > 0.0).astype(np.float64)
+                    gz *= g
+                elif layer.activation == "tanh":
+                    gz = (1.0 - out * out) * g
+                else:
+                    gz = g
+                grads[:0] = [(gz.T @ cache.inputs[i]).ravel(), gz.sum(axis=0)]
+                g = gz @ layer.weight
+            return np.concatenate(grads), g
+
+        rng = np.random.default_rng(9)
+        model = numerics.init_mlp([5, 8, 8, 3], [act] * 3, rng)
+        x = rng.normal(size=5 if single else (16, 5))
+        gy = rng.normal(size=3 if single else (16, 3))
+        gy[..., 0] = -0.0
+        gy_before = gy.copy()
+        _, cache = numerics.forward(model, x)
+        grad, gx = numerics.backward(model, cache, gy)
+        assert gy.tobytes() == gy_before.tobytes()
+        want_grad, want_gx = reference(model, cache, np.atleast_2d(gy))
+        assert grad.tobytes() == want_grad.tobytes()
+        assert gx.tobytes() == want_gx.reshape(gx.shape).tobytes()
+
+    def test_forward_writes_its_last_layer_into_a_given_slice(self):
+        rng = np.random.default_rng(10)
+        model = numerics.init_mlp([4, 16, 16, 3], ["relu", "tanh", "identity"], rng)
+        x = rng.normal(size=(40, 4))
+        want, _ = numerics.forward(model, x)
+        buf = np.full((50, 3), 7.0)
+        got, cache = numerics.forward(model, x, out=buf[5:45])
+        assert got.base is buf and cache.output is got
+        assert buf[5:45].tobytes() == want.tobytes()
+        assert (buf[:5] == 7.0).all() and (buf[45:] == 7.0).all()
+
     def test_cache_from_other_model_rejected(self):
         rng = np.random.default_rng(3)
         m1 = numerics.init_mlp([2, 3, 1], ["relu", "identity"], rng)
@@ -353,6 +397,14 @@ class TestCheckpoint:
         blob = numerics.checkpoint_bytes(random_model(np.random.default_rng(3)))
         with pytest.raises(RejectedInputError):
             numerics.model_from_bytes(corrupt(blob))
+
+    @pytest.mark.parametrize("where, value", [
+        ("weight", np.nan), ("bias", np.inf), ("weight", -np.inf)])
+    def test_non_finite_parameter_rejected_with_its_layer(self, where, value):
+        model = numerics.init_mlp([3, 4, 2], ["relu", "identity"], np.random.default_rng(4))
+        getattr(model.layers[1], where).flat[0] = value
+        with pytest.raises(RejectedInputError, match="layer 1 has non-finite"):
+            numerics.model_from_bytes(numerics.checkpoint_bytes(model))
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 50), truncate=st.booleans(), where=st.floats(0.0, 1.0),
