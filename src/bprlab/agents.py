@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .bpr import EncoderModel, build_encoder, check_learning_rate
+from .bpr import EncoderModel, build_encoder, check_finite, check_learning_rate
 from .envs import (
     OfflineDataset,
     PointMassEnv,
@@ -25,11 +25,7 @@ from .envs import (
     evaluate_policy_exact,
     tabular_indices,
 )
-from .errors import (
-    ContractViolationError,
-    RejectedInputError,
-    TrainingDivergenceError,
-)
+from .errors import ContractViolationError, RejectedInputError
 
 TRACE_COLUMNS = ("step", "critic_loss", "actor_loss",
                  "eval_return_mean", "eval_return_std", "effective_dimension")
@@ -77,6 +73,10 @@ class AgentConfig:
         check_learning_rate("learning_rate", self.learning_rate)
         if self.co_train_encoder_lr is not None:
             check_learning_rate("co_train_encoder_lr", self.co_train_encoder_lr)
+        if not 0.0 <= self.gamma <= 1.0:
+            raise RejectedInputError(f"gamma must be in [0, 1], not {self.gamma}")
+        if not self.n_wedge >= 0.0:  # an infinite threshold keeps the behavior policy
+            raise RejectedInputError(f"n_wedge must be >= 0, not {self.n_wedge}")
         if not (np.isfinite(self.cql_alpha) and self.cql_alpha >= 0.0):
             raise RejectedInputError(f"cql_alpha must be finite and >= 0, not {self.cql_alpha}")
         if not self.cql_temp > 0.0:
@@ -236,11 +236,6 @@ def _soft_update(target: np.ndarray, source: np.ndarray, tau: float):
     target += tau * source
 
 
-def _check_finite(loss: float, step: int, what: str):
-    if not np.isfinite(loss):
-        raise TrainingDivergenceError(f"non-finite {what} loss at step {step}")
-
-
 @dataclass
 class TrainResult:
     policy: PolicyModel | None
@@ -310,6 +305,8 @@ def evaluate_return(policy_fn, env: PointMassEnv, episodes: int, seed: int):
         for _ in range(env.max_steps):
             s, r = env.step(s, policy_fn(s))
             total += r
+        # a non-finite action passes the clip and reaches the reward
+        check_finite(total, f"return in evaluation episode {ep}")
         returns[ep] = total
     return float(returns.mean()), float(returns.std()), returns
 
@@ -357,7 +354,9 @@ def _train_loop(config: AgentConfig, result: TrainResult, env: PointMassEnv | No
         if probe_batch is not None:
             ps, pa = probe_batch
             x = encoder.encode(ps) if config.use_encoder else ps
-            result.psi_trace.append((step, extract_features(result.critics[0], x, pa)))
+            psi = extract_features(result.critics[0], x, pa)
+            check_finite(psi, f"critic features at step {step}")
+            result.psi_trace.append((step, psi))
 
     probe(0)
     for step in range(config.gradient_steps):
@@ -394,7 +393,7 @@ def train_bc(dataset: OfflineDataset, config: AgentConfig,
     def step_fn(step):
         idx = rng.integers(0, x_all.shape[0], size=config.batch_size)
         loss, grad = bc_loss_and_grads(policy, x_all[idx], actions[idx])
-        _check_finite(loss, step, "bc")
+        check_finite(loss, f"bc loss at step {step}")
         numerics.adam_step(adam, policy.net.flat, grad)
         return None, loss
 
@@ -462,7 +461,7 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
                                        input_grad=co_train, out=grad)
             if co_train:
                 g_x += gin[:, : xb.shape[1]]
-        _check_finite(closs, step, "critic")
+        check_finite(closs, f"critic loss at step {step}")
         numerics.adam_step(adam_q, q_flat, q_grad)
 
         if co_train:
@@ -472,7 +471,7 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
         if step % config.policy_delay == 0:
             aloss, pgrad = td3bc_actor_loss_and_grads(policy, q1, xb, ab,
                                                       alpha=config.td3bc_alpha)
-            _check_finite(aloss, step, "actor")
+            check_finite(aloss, f"actor loss at step {step}")
             numerics.adam_step(adam_pi, policy.net.flat, pgrad)
             last_actor_loss = aloss
             _soft_update(policy_t.net.flat, policy.net.flat, config.tau)
@@ -509,11 +508,11 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
         pi_forward = numerics.forward(policy.net, xb)
         cand = np.concatenate([cand, (policy.action_bound * pi_forward[0])[:, None, :]], axis=1)
         closs, cgrad = cql_critic_loss_and_grads(q, xb, ab, target, cand, config.cql_alpha)
-        _check_finite(closs, step, "cql critic")
+        check_finite(closs, f"cql critic loss at step {step}")
         numerics.adam_step(adam_q, q.net.flat, cgrad)
 
         aloss, pgrad = cql_actor_loss_and_grads(policy, q, xb, pi_forward)
-        _check_finite(aloss, step, "cql actor")
+        check_finite(aloss, f"cql actor loss at step {step}")
         numerics.adam_step(adam_pi, policy.net.flat, pgrad)
         _soft_update(q_t.net.flat, q.net.flat, config.tau)
         return closs, aloss
@@ -585,7 +584,7 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
                 loss += float(alpha * np.mean(lse[si] - q_sa))
                 weights[n:-n] = (alpha * soft / n)[si].ravel()
                 flat = np.concatenate((cell, (si[:, None] * n_actions + cols).ravel(), cell))
-            _check_finite(loss, step, "tabular cql")
+            check_finite(loss, f"tabular cql loss at step {step}")
             grad = np.bincount(flat, weights, minlength=q.size).reshape(q.shape)
             numerics.adam_step(adam, q, grad)
             if config.eval_every and (step + 1) % config.eval_every == 0:

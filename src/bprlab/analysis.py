@@ -124,7 +124,6 @@ class BoundReport:
     J_behavior: float
     J_behavior_hat: float
     J_output: float
-    K: float
     eps_beta: float
     delta_hat: float | None = None
     eps_delta: float | None = None
@@ -154,11 +153,9 @@ def verify_theorem2(mdp: TabularMDP, dataset: OfflineDataset, spibb_result,
     delta_hat = spibb_result.j_hat_out - spibb_result.j_hat_behavior
     # realized over the evaluated policy set {pi_out, pi_beta_hat}
     eps_delta = max(delta_hat - (j_out - j_hat), 0.0)
-    k = mdp.r_max / (1.0 - mdp.discount) if mdp.discount < 1.0 else float("inf")
     slack = j_out - (j_beh + delta_hat - eps_delta - eps_beta)
-    return BoundReport(J_behavior=j_beh, J_behavior_hat=j_hat, J_output=j_out,
-                       K=k, eps_beta=eps_beta, delta_hat=delta_hat,
-                       eps_delta=eps_delta, theorem2_slack=slack)
+    return BoundReport(J_behavior=j_beh, J_behavior_hat=j_hat, J_output=j_out, eps_beta=eps_beta,
+                       delta_hat=delta_hat, eps_delta=eps_delta, theorem2_slack=slack)
 
 
 def verify_theorem3(mdp: TabularMDP, dataset: OfflineDataset, cql_result,
@@ -176,12 +173,10 @@ def verify_theorem3(mdp: TabularMDP, dataset: OfflineDataset, cql_result,
     delta_lower = j_perp_out - j_perp_hat
     eps_lower = j_hat - j_perp_hat
     held = j_perp_out <= j_out + 1e-9
-    k = mdp.r_max / (1.0 - mdp.discount) if mdp.discount < 1.0 else float("inf")
     slack = j_out - (j_beh + delta_lower - eps_lower - eps_beta)
-    return BoundReport(J_behavior=j_beh, J_behavior_hat=j_hat, J_output=j_out,
-                       K=k, eps_beta=eps_beta, delta_lower=delta_lower,
-                       eps_lower=eps_lower, lower_bound_precondition_held=held,
-                       theorem3_slack=slack)
+    return BoundReport(J_behavior=j_beh, J_behavior_hat=j_hat, J_output=j_out, eps_beta=eps_beta,
+                       delta_lower=delta_lower, eps_lower=eps_lower,
+                       lower_bound_precondition_held=held, theorem3_slack=slack)
 
 
 def run_counterexample_audit(reward_perturbation: float = 0.0, tol: float = 1e-9) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,14 @@ class PretrainConfig:
 def check_learning_rate(name: str, value: float) -> None:
     if not (np.isfinite(value) and value > 0.0):
         raise RejectedInputError(f"{name} must be finite and > 0, not {value}")
+
+
+def check_finite(value, what: str) -> None:
+    """Raise TrainingDivergenceError unless value, a float or an array that a run
+    computed, is finite: inputs are checked where they enter, so a non-finite
+    computed value means the run diverged."""
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise TrainingDivergenceError(f"non-finite {what}")
 
 
 class EncoderModel:
@@ -180,13 +189,10 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
         loss, grad = bpr_batch_grads(
             encoder, predictor, states[idx], actions[idx], config.min_action_norm
         )
-        if not np.isfinite(loss):
-            raise TrainingDivergenceError(f"non-finite pretrain loss at step {step}")
+        check_finite(loss, f"pretrain loss at step {step}")
         numerics.adam_step(adam, params, grad)
         trace[step] = loss
-    if not np.all(np.isfinite(params)):
-        raise TrainingDivergenceError("non-finite encoder or predictor parameters after "
-                                      f"{config.steps} pretrain steps")
+    check_finite(params, f"encoder or predictor parameters after {config.steps} pretrain steps")
     encoder.freeze()
     return encoder, trace, predictor, n_dropped
 
@@ -201,7 +207,8 @@ def dataset_hash(dataset: OfflineDataset) -> str:
 def save_encoder(encoder: EncoderModel, path: str, manifest: dict | None = None) -> None:
     atomic_write(path, numerics.checkpoint_bytes(encoder.net))
     if manifest is not None:
-        atomic_write(path + ".json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        atomic_write(path + ".json", json.dumps(manifest, indent=2, sort_keys=True,
+                                                    allow_nan=False) + "\n")
 
 
 def load_encoder(path: str, frozen: bool = True) -> EncoderModel:
@@ -209,7 +216,7 @@ def load_encoder(path: str, frozen: bool = True) -> EncoderModel:
 
 
 def make_manifest(config: PretrainConfig, dataset: OfflineDataset,
-                  final_loss: float) -> dict:
+                  final_loss: float | None) -> dict:
     return {
         "schema_version": 1,
         "repr_dim": config.repr_dim,

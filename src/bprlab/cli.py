@@ -1,13 +1,14 @@
 """Experiment harness: dataset generation, pretraining, agent training over
 seeds, audits, and report emission.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime divergence,
-3 audit failure.
+Exit codes: 0 on success; an error that ends a command exits with its class's
+`exit_code`, from the one table in errors.py (any OSError exits 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -16,20 +17,13 @@ import sys
 import numpy as np
 
 from . import agents, analysis, bpr, envs, numerics
-from .errors import (
-    AuditFailureError,
-    BprlabError,
-    RejectedInputError,
-    TrainingDivergenceError,
-    UnusableDatasetError,
-)
+from .errors import AuditFailureError, BprlabError, RejectedInputError
 
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DIVERGENCE = 2
-EXIT_AUDIT = 3
+EXIT_USAGE = RejectedInputError.exit_code
+EXIT_AUDIT = AuditFailureError.exit_code
 
 
 def _output_dir(args) -> str:
@@ -40,7 +34,8 @@ def _output_dir(args) -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    envs.atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    envs.atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n")
 
 
 def _apply_config_file(args, parser):
@@ -168,13 +163,13 @@ def cmd_pretrain(args) -> int:
                                 predictor_hidden=tuple(args.hidden))
     encoder, trace, _, n_dropped = bpr.pretrain(dataset, config)
     prefix = os.path.join(out, args.name or "encoder")
-    final_loss = float(trace[-1]) if len(trace) else float("nan")
+    final_loss = float(trace[-1]) if len(trace) else None
     bpr.save_encoder(encoder, prefix + ".ckpt",
                      bpr.make_manifest(config, dataset, final_loss))
     lines = ["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(trace)]
     envs.atomic_write(prefix + "-loss.csv", "\n".join(lines) + "\n")
-    print(f"wrote {prefix}.ckpt (dropped {n_dropped} near-zero actions, "
-          f"final loss {final_loss:.6f})")
+    shown = "none" if final_loss is None else f"{final_loss:.6f}"
+    print(f"wrote {prefix}.ckpt (dropped {n_dropped} near-zero actions, final loss {shown})")
     return EXIT_OK
 
 
@@ -393,8 +388,7 @@ def _plot_data_from_traces(summary) -> list[dict]:
             raise RejectedInputError(f"summary {summary['label']!r} names trace {path}, "
                                      "which does not exist")
         with open(path) as fh:
-            import csv as _csv
-            for rec in _csv.DictReader(fh):
+            for rec in csv.DictReader(fh):
                 if rec.get("eval_return_mean"):
                     try:
                         step, value = int(rec.get("step")), float(rec["eval_return_mean"])
@@ -505,18 +499,15 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(args, parser)
         return args.func(args)
-    except (RejectedInputError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergenceError, UnusableDatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except AuditFailureError as exc:
-        print(json.dumps({"audit_failed": True, "detail": str(exc)}), file=sys.stderr)
-        return EXIT_AUDIT
     except BprlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        if isinstance(exc, AuditFailureError):
+            print(json.dumps({"audit_failed": True, "detail": str(exc)}), file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,16 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package. Each carries `exit_code`, the
+code `bprlab` exits with when it ends a command; this is the one exit-code table:
 
-Exit-code mapping for the CLI lives in cli.py: usage/config errors -> 1,
-training divergence -> 2, audit failures -> 3.
+1  RejectedInputError: input the program rejects (any OSError also exits 1);
+2  TrainingDivergenceError, UnusableDatasetError, ContractViolationError,
+   UndefinedModelError, UnsupportedDiscountError, UnavailableOracleError:
+   a run that cannot finish (every BprlabError's default);
+3  AuditFailureError.
 """
 
 
 class BprlabError(Exception):
     """Base class for all package errors."""
+    exit_code = 2
 
 
 class RejectedInputError(BprlabError):
     """Input violates a documented precondition (shape, symmetry, finiteness)."""
+    exit_code = 1
 
 
 class ContractViolationError(BprlabError):
@@ -18,7 +24,8 @@ class ContractViolationError(BprlabError):
 
 
 class TrainingDivergenceError(BprlabError):
-    """Non-finite loss or gradient encountered during optimization."""
+    """A loss, gradient, parameter, feature or return computed during a run is
+    not finite."""
 
 
 class UnusableDatasetError(BprlabError):
@@ -39,3 +46,4 @@ class UnavailableOracleError(BprlabError):
 
 class AuditFailureError(BprlabError):
     """An exact-value audit found a mismatch; message names the quantity."""
+    exit_code = 3

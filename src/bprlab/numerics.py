@@ -5,7 +5,10 @@ Everything is float64 and single-threaded: importing bprlab sets OpenBLAS to
 one thread unless OPENBLAS_NUM_THREADS is already set. Shapes follow the numpy
 row convention: a batch is (n, dim), a weight is (out_dim, in_dim). A model's
 parameters live in one contiguous vector, backward returns their gradient as
-one vector in the same order, and Adam updates the parameters in place.
+one vector in the same order, and Adam updates the parameters in place. The
+kernel trusts its callers with finite inputs: data is checked where it enters
+(datasets, checkpoints, configs), and trainers report a non-finite computed
+value as a divergence.
 """
 
 from __future__ import annotations
@@ -162,8 +165,6 @@ def forward(model: MlpModel, x: np.ndarray,
         raise RejectedInputError(
             f"input dim {x.shape[-1]} != model input dim {model.input_dim}"
         )
-    if not np.all(np.isfinite(x)):
-        raise RejectedInputError("non-finite input")
     cache = ForwardCache(model_id=id(model), single=single)
     h = x
     last = len(model.layers) - 1
@@ -230,8 +231,6 @@ def l2_normalize_with_grad(v: np.ndarray, eps_stability: float = 1e-8):
     """Row-wise v / max(||v||, eps). Returns (unit, backprop) where
     backprop maps a gradient w.r.t. the output to one w.r.t. v."""
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise RejectedInputError("non-finite input to l2 normalization")
     single = v.ndim == 1
     vv = v[None, :] if single else v
     norms = np.linalg.norm(vv, axis=1, keepdims=True)

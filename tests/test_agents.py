@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bprlab import agents, bpr, envs, numerics
-from bprlab.errors import ContractViolationError, RejectedInputError
+from bprlab.errors import ContractViolationError, RejectedInputError, TrainingDivergenceError
 
 
 def pm_dataset(n=600, seed=0, behavior="expert"):
@@ -182,6 +182,12 @@ class TestEvaluation:
         m2 = agents.evaluate_return(fn, env, 5, seed=4)[0]
         assert m1 != m2
 
+    def test_non_finite_return_is_a_divergence(self):
+        # the clip passes a NaN action on to the state and the reward
+        fn = lambda s: np.array([np.nan, 0.0])
+        with pytest.raises(TrainingDivergenceError, match="return in evaluation episode 0"):
+            agents.evaluate_return(fn, envs.PointMassEnv(), 2, seed=0)
+
 
 class TestBehaviorCloning:
     def test_fits_expert(self):
@@ -278,6 +284,15 @@ class TestTd3bc:
         res = agents.train_td3bc(ds, cfg, probe_batch=pb, probe_every=20)
         assert [s for s, _ in res.psi_trace] == [0, 20, 40]
         assert res.psi_trace[0][1].shape == (32, 8)
+
+    def test_non_finite_probe_features_are_a_divergence(self, monkeypatch):
+        ds = pm_dataset(300)
+        cfg = agents.AgentConfig(algorithm="td3bc", gradient_steps=2, batch_size=32, hidden=(8,))
+        monkeypatch.setattr(agents, "extract_features",
+                            lambda q, x, a: np.full((len(x), q.feature_dim), np.nan))
+        from bprlab.analysis import make_probe_batch
+        with pytest.raises(TrainingDivergenceError, match="critic features at step 0"):
+            agents.train_td3bc(ds, cfg, probe_batch=make_probe_batch(ds, 8), probe_every=1)
 
 
 @pytest.fixture(scope="module")
@@ -589,8 +604,11 @@ class TestConfigValidation:
         ("learning_rate", np.inf), ("co_train_encoder_lr", np.nan), ("co_train_encoder_lr", 0.0),
         ("cql_alpha", -1.0), ("cql_alpha", np.inf), ("cql_alpha", np.nan),
         ("cql_temp", 0.0), ("cql_temp", np.nan), ("cql_target_every", 0),
+        ("gamma", np.nan), ("gamma", np.inf), ("gamma", 1.5), ("gamma", -1.0),
+        ("n_wedge", np.nan), ("n_wedge", -1.0),
     ])
     def test_bad_rate_or_cql_setting_rejected(self, field, value):
         with pytest.raises(RejectedInputError, match=field):
             agents.AgentConfig(**{field: value})
-        agents.AgentConfig(cql_alpha=0.0, co_train_encoder_lr=1e-3)
+        agents.AgentConfig(cql_alpha=0.0, co_train_encoder_lr=1e-3, gamma=1.0, n_wedge=np.inf)
+        agents.AgentConfig(gamma=0.0, n_wedge=0.0)

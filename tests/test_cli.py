@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bprlab import agents, cli, envs, numerics
+from bprlab import agents, cli, envs, errors, numerics
 from bprlab.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -17,6 +18,13 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def run(args):
     return cli.main(args)
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -112,6 +120,23 @@ class TestPretrain:
                     "--out", "."]) == EXIT_USAGE
         assert "learning_rate must be finite" in capsys.readouterr().err
         assert not os.path.exists("encoder.ckpt")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging net overflows
+    def test_divergence_after_the_first_step_exits_2(self, workdir, capsys):
+        run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+        capsys.readouterr()
+        assert run(["pretrain", "--dataset", "d.jsonl", "--steps", "3", "--batch-size", "32",
+                    "--hidden", "16", "--repr-dim", "4", "--learning-rate=1e300",
+                    "--out", "."]) == errors.TrainingDivergenceError.exit_code == 2
+        assert capsys.readouterr().err == "error: non-finite pretrain loss at step 1\n"
+        assert not os.path.exists("encoder.ckpt")
+
+    def test_zero_steps_write_a_null_final_loss_in_strict_json(self, workdir, capsys):
+        run(["gen-data", "--task", "pointmass", "--n", "100", "--name", "d.jsonl", "--out", "."])
+        assert run(["pretrain", "--dataset", "d.jsonl", "--steps", "0", "--repr-dim", "6",
+                    "--hidden", "8", "--out", "."]) == EXIT_OK
+        assert strict_json(Path("encoder.ckpt.json").read_text())["final_loss"] is None
+        assert "final loss none" in capsys.readouterr().out
 
 
 class TestTrain:
@@ -303,11 +328,21 @@ _TRAIN_BC = ["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "
     (["--co-train"], None),
     (["--cql-alpha=-1"], None),
     (["--learning-rate=nan"], None),
+    (["--gamma=nan"], None),
+    (["--algo", "td3bc", "--gamma=nan"], None),
+    (["--algo", "td3bc", "--gamma=inf"], None),
+    (["--algo", "td3bc", "--gamma=1.5"], None),
+    (["--algo", "cql", "--gamma=-1"], None),
+    ([], json.dumps({"gamma": 1.5})),
+    (["--n-wedge=nan"], None),
+    (["--n-wedge=-1"], None),
 ], ids=["seeds-not-int", "seeds-empty", "seeds-negative", "config-not-json",
         "config-not-object", "hidden-int", "hidden-empty", "steps-string", "lr-bool",
         "co-train-int", "seeds-int", "not-a-flag-func", "not-a-flag-help",
         "batch-negative", "batch-zero", "hidden-negative", "hidden-zero", "steps-negative",
-        "probe-without-critic", "co-train-bc", "cql-alpha-negative", "lr-nan"])
+        "probe-without-critic", "co-train-bc", "cql-alpha-negative", "lr-nan", "gamma-nan",
+        "td3bc-gamma-nan", "td3bc-gamma-inf", "td3bc-gamma-above-1", "cql-gamma-negative",
+        "config-gamma-above-1", "n-wedge-nan", "n-wedge-negative"])
 def test_bad_flag_or_config_value_is_usage_error(workdir, capsys, flags, config):
     run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
     if config is not None:
@@ -339,6 +374,40 @@ def test_non_finite_encoder_checkpoint_is_rejected_at_load(workdir, capsys):
     capsys.readouterr()
     assert run([*_TRAIN_BC, "--encoder", "nan.ckpt"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: checkpoint layer 0 has non-finite weights or biases\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging net overflows
+def test_diverging_run_exits_2_and_writes_no_summary(workdir, capsys):
+    # parameters near 1e300 stay finite, but the policy's matmul overflows to inf - inf,
+    # and its NaN action reaches the final evaluation's return
+    run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+    capsys.readouterr()
+    assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "bc",
+                "--gradient-steps", "1", "--hidden", "8", "--batch-size", "16",
+                "--learning-rate=1e300", "--eval-every", "0", "--out", "."]) == 2
+    assert capsys.readouterr().err == "error: non-finite return in evaluation episode 0\n"
+    assert not os.path.exists("bc-summary.json")
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.RejectedInputError, 1), (OSError, 1),
+    (errors.TrainingDivergenceError, 2), (errors.UnusableDatasetError, 2),
+    (errors.ContractViolationError, 2), (errors.UndefinedModelError, 2),
+    (errors.UnsupportedDiscountError, 2), (errors.UnavailableOracleError, 2),
+    (errors.AuditFailureError, 3),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_each_error_class_exits_with_its_code_from_the_table(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_audit", fail)
+    assert error is OSError or error.exit_code == code
+    assert run(["audit"]) == code
+    err = capsys.readouterr().err
+    if error is errors.AuditFailureError:
+        assert json.loads(err) == {"audit_failed": True, "detail": "boom"}
+    else:
+        assert err == "error: boom\n"
 
 
 @pytest.mark.parametrize("task, algo, name, tag", [
@@ -519,6 +588,20 @@ def pointmass_200(tmp_path_factory):
 @example(argv=["train", "--task", "pointmass", "--algo", "bc", "--gradient-steps", "3",
                "--probe-ed=5"])
 @example(argv=["pretrain", "--steps", "3", "--hidden", "-2"])
+@example(argv=["train", "--task", "pointmass", "--algo", "td3bc", "--gradient-steps", "3",
+               "--gamma=1.5"])
+@example(argv=["train", "--task", "pointmass", "--algo", "cql", "--gradient-steps", "3",
+               "--gamma=-1.0"])
+@example(argv=["train", "--task", "pointmass", "--algo", "bc", "--gradient-steps", "3",
+               "--gamma=nan"])
 def test_fuzzed_numeric_flags_exit_0_1_or_2_and_never_raise(pointmass_200, argv):
-    out = str(pointmass_200)
-    assert run([*argv, "--dataset", os.path.join(out, "d.jsonl"), "--out", out]) in (0, 1, 2)
+    out = tempfile.mkdtemp(dir=pointmass_200)  # this run's files only
+    code = run([*argv, "--dataset", str(pointmass_200 / "d.jsonl"), "--out", out])
+    assert code in (0, 1, 2)
+    gamma = [float(a.partition("=")[2]) for a in argv if a.startswith("--gamma=")]
+    if gamma and not 0.0 <= gamma[0] <= 1.0:
+        assert code == 1
+    if code == 0:
+        for name in os.listdir(out):
+            if name.endswith(".json"):
+                strict_json(Path(out, name).read_text())
