@@ -30,6 +30,13 @@ from .errors import ContractViolationError, RejectedInputError
 TRACE_COLUMNS = ("step", "critic_loss", "actor_loss",
                  "eval_return_mean", "eval_return_std", "effective_dimension")
 
+# TD3+BC at its published settings (Fujimoto & Gu 2021, arXiv 2106.06860); TAU
+# is also continuous CQL's target rate
+TD3BC_ALPHA, TAU, POLICY_DELAY, TARGET_NOISE, NOISE_CLIP = 2.5, 0.005, 2, 0.2, 0.5
+CQL_N_SAMPLES = 10  # uniform candidate actions per state (Kumar et al. 2020, arXiv 2006.04779)
+CQL_TEMP = 0.2  # tabular softmax temperature; small keeps J_perp a tight lower bound
+SPIBB_MAX_ITERS = 200  # policy-iteration rounds of tabular SPIBB
+
 
 @dataclass
 class AgentConfig:
@@ -43,15 +50,8 @@ class AgentConfig:
     learning_rate: float = 3e-4
     hidden: tuple[int, ...] = (64, 64)
     repr_dim: int = 64  # only used when co-training builds a fresh encoder
-    td3bc_alpha: float = 2.5
-    tau: float = 0.005
-    policy_delay: int = 2
-    target_noise: float = 0.2
-    noise_clip: float = 0.5
     cql_alpha: float = 1.0
-    cql_n_samples: int = 10
     cql_target_every: int = 100
-    cql_temp: float = 0.2  # tabular softmax temperature; small keeps J_perp a tight lower bound
     n_wedge: float = 10.0
     eval_every: int = 0
     eval_episodes: int = 10
@@ -79,32 +79,28 @@ class AgentConfig:
             raise RejectedInputError(f"n_wedge must be >= 0, not {self.n_wedge}")
         if not (np.isfinite(self.cql_alpha) and self.cql_alpha >= 0.0):
             raise RejectedInputError(f"cql_alpha must be finite and >= 0, not {self.cql_alpha}")
-        if not self.cql_temp > 0.0:
-            raise RejectedInputError(f"cql_temp must be positive, not {self.cql_temp}")
         if self.cql_target_every < 1:
             raise RejectedInputError(f"cql_target_every must be at least 1, not "
                                      f"{self.cql_target_every}")
 
 
 class PolicyModel:
-    """Deterministic tanh policy scaled to the action bound."""
+    """Deterministic tanh policy: actions lie in [-1, 1], the point mass's box."""
 
-    def __init__(self, net: numerics.MlpModel, action_bound: float = 1.0):
+    def __init__(self, net: numerics.MlpModel):
         if net.layers[-1].activation != "tanh":
             raise RejectedInputError("policy net must end with tanh")
         self.net = net
-        self.action_bound = action_bound
 
     @classmethod
     def build(cls, input_dim: int, action_dim: int, hidden: tuple[int, ...],
-              rng: np.random.Generator, action_bound: float = 1.0) -> "PolicyModel":
+              rng: np.random.Generator) -> "PolicyModel":
         dims = [input_dim, *hidden, action_dim]
         acts = ["relu"] * len(hidden) + ["tanh"]
-        return cls(numerics.init_mlp(dims, acts, rng), action_bound)
+        return cls(numerics.init_mlp(dims, acts, rng))
 
     def act(self, x: np.ndarray) -> np.ndarray:
-        y, _ = numerics.forward(self.net, x)
-        return self.action_bound * y
+        return numerics.forward(self.net, x)[0]
 
 
 class QModel:
@@ -144,11 +140,10 @@ def extract_features(q: QModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def bc_loss_and_grads(policy: PolicyModel, x: np.ndarray, a: np.ndarray):
     y, cache = numerics.forward(policy.net, x)
-    y = policy.action_bound * y
     diff = y - a
     n = x.shape[0]
     loss = float(np.sum(diff * diff, axis=1).mean())
-    gy = 2.0 * diff / n * policy.action_bound
+    gy = 2.0 * diff / n
     grad, _ = numerics.backward(policy.net, cache, gy, input_grad=False)
     return loss, grad
 
@@ -158,44 +153,46 @@ def cql_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
     """-mean Q(x, pi(x)); critic held fixed. policy_forward is the (output,
     cache) of the policy on x, when the caller has already run it."""
     y, pcache = numerics.forward(policy.net, x) if policy_forward is None else policy_forward
-    y = policy.action_bound * y
     n = x.shape[0]
     qv, qcache = numerics.forward(q.net, np.concatenate([x, y], axis=1))
     loss = float(-qv[:, 0].mean())
     _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -1.0 / n), param_grads=False)
     gy = gqin[:, x.shape[1]:]
-    grad, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
+    grad, _ = numerics.backward(policy.net, pcache, gy, input_grad=False)
     return loss, grad
 
 
 def td3bc_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
-                               a: np.ndarray, lam: float | None = None,
-                               alpha: float = AgentConfig.td3bc_alpha):
+                               a: np.ndarray, lam: float | None = None):
     """-lam * mean Q(x, pi(x)) + mean ||pi(x) - a||^2; lam is a constant.
-    lam=None takes TD3+BC's lam = alpha / mean |Q(x, pi(x))| from this same
-    forward pass."""
+    lam=None takes TD3+BC's lam = TD3BC_ALPHA / mean |Q(x, pi(x))| from this
+    same forward pass."""
     y, pcache = numerics.forward(policy.net, x)
-    y = policy.action_bound * y
     n = x.shape[0]
     qin = np.concatenate([x, y], axis=1)
     qv, qcache = numerics.forward(q.net, qin)
     if lam is None:
-        lam = alpha / max(np.mean(np.abs(qv[:, 0])), 1e-8)
+        lam = TD3BC_ALPHA / max(np.mean(np.abs(qv[:, 0])), 1e-8)
     diff = y - a
     loss = float(-lam * qv[:, 0].mean() + np.sum(diff * diff, axis=1).mean())
     _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -lam / n), param_grads=False)
     gy = gqin[:, x.shape[1]:] + 2.0 * diff / n
-    grad, _ = numerics.backward(policy.net, pcache, gy * policy.action_bound, input_grad=False)
+    grad, _ = numerics.backward(policy.net, pcache, gy, input_grad=False)
     return loss, grad
 
 
-def critic_td_loss_and_grads(q: QModel, x: np.ndarray, a: np.ndarray,
-                             target: np.ndarray):
+def critic_td_loss_and_grads(q: QModel, x: np.ndarray, a: np.ndarray, target: np.ndarray,
+                             out: np.ndarray | None = None, g_x: np.ndarray | None = None):
+    """Mean squared TD error and its parameter gradient, written into out when
+    given; when g_x is given, the gradient w.r.t. x is added into it."""
     qv, cache = numerics.forward(q.net, np.concatenate([x, a], axis=1))
     td = qv[:, 0] - target
     n = x.shape[0]
     loss = float(np.mean(td * td))
-    grad, _ = numerics.backward(q.net, cache, (2.0 * td / n)[:, None], input_grad=False)
+    grad, gin = numerics.backward(q.net, cache, (2.0 * td / n)[:, None],
+                                  input_grad=g_x is not None, out=out)
+    if g_x is not None:
+        g_x += gin[:, : x.shape[1]]
     return loss, grad
 
 
@@ -443,24 +440,17 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
             xb, x2b = x_all[idx], x2_all[x2_rows[idx]]
         ab, rb, db = actions[idx], rewards[idx], dones[idx]
 
-        noise = np.clip(rng.normal(0.0, config.target_noise, size=(len(idx), adim)),
-                        -config.noise_clip, config.noise_clip)
-        a2 = np.clip(policy_t.act(x2b) + noise, -policy.action_bound, policy.action_bound)
+        noise = np.clip(rng.normal(0.0, TARGET_NOISE, size=(len(idx), adim)),
+                        -NOISE_CLIP, NOISE_CLIP)
+        a2 = np.clip(policy_t.act(x2b) + noise, -1.0, 1.0)
         tq = np.minimum(q1_t.value(x2b, a2), q2_t.value(x2b, a2))
         target = rb + config.gamma * (1.0 - db.astype(np.float64)) * tq
 
         # critic update; in co-train mode the critic gradient also reaches the encoder
-        qin = np.concatenate([xb, ab], axis=1)
         closs = 0.0
         g_x = np.zeros_like(xb) if co_train else None
         for qm, grad in zip((q1, q2), np.split(q_grad, [q1.net.flat.size])):
-            qv, cache = numerics.forward(qm.net, qin)
-            td = qv[:, 0] - target
-            closs += float(np.mean(td * td))
-            _, gin = numerics.backward(qm.net, cache, (2.0 * td / len(idx))[:, None],
-                                       input_grad=co_train, out=grad)
-            if co_train:
-                g_x += gin[:, : xb.shape[1]]
+            closs += critic_td_loss_and_grads(qm, xb, ab, target, out=grad, g_x=g_x)[0]
         check_finite(closs, f"critic loss at step {step}")
         numerics.adam_step(adam_q, q_flat, q_grad)
 
@@ -468,14 +458,13 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
             enc_grad, _ = numerics.backward(encoder.net, enc_cache, g_x, input_grad=False)
             numerics.adam_step(adam_enc, encoder.net.flat, enc_grad)
 
-        if step % config.policy_delay == 0:
-            aloss, pgrad = td3bc_actor_loss_and_grads(policy, q1, xb, ab,
-                                                      alpha=config.td3bc_alpha)
+        if step % POLICY_DELAY == 0:
+            aloss, pgrad = td3bc_actor_loss_and_grads(policy, q1, xb, ab)
             check_finite(aloss, f"actor loss at step {step}")
             numerics.adam_step(adam_pi, policy.net.flat, pgrad)
             last_actor_loss = aloss
-            _soft_update(policy_t.net.flat, policy.net.flat, config.tau)
-            _soft_update(q_t_flat, q_flat, config.tau)
+            _soft_update(policy_t.net.flat, policy.net.flat, TAU)
+            _soft_update(q_t_flat, q_flat, TAU)
         return closs, last_actor_loss
 
     result = TrainResult(policy, (q1, q2), encoder)
@@ -503,10 +492,10 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
         xb, x2b = x_all[idx], x2_all[x2_rows[idx]]
         ab, rb, db = actions[idx], rewards[idx], dones[idx]
         target = rb + config.gamma * (1.0 - db.astype(np.float64)) * q_t.value(x2b, policy.act(x2b))
-        cand = rng.uniform(-1.0, 1.0, size=(len(idx), config.cql_n_samples, adim))
+        cand = rng.uniform(-1.0, 1.0, size=(len(idx), CQL_N_SAMPLES, adim))
         # the policy's forward pass on xb serves the candidates and the actor loss
         pi_forward = numerics.forward(policy.net, xb)
-        cand = np.concatenate([cand, (policy.action_bound * pi_forward[0])[:, None, :]], axis=1)
+        cand = np.concatenate([cand, pi_forward[0][:, None, :]], axis=1)
         closs, cgrad = cql_critic_loss_and_grads(q, xb, ab, target, cand, config.cql_alpha)
         check_finite(closs, f"cql critic loss at step {step}")
         numerics.adam_step(adam_q, q.net.flat, cgrad)
@@ -514,7 +503,7 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
         aloss, pgrad = cql_actor_loss_and_grads(policy, q, xb, pi_forward)
         check_finite(aloss, f"cql actor loss at step {step}")
         numerics.adam_step(adam_pi, policy.net.flat, pgrad)
-        _soft_update(q_t.net.flat, q.net.flat, config.tau)
+        _soft_update(q_t.net.flat, q.net.flat, TAU)
         return closs, aloss
 
     result = TrainResult(policy, (q,), encoder)
@@ -549,7 +538,7 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
     order as per-sample accumulation."""
     s, a, r, s2, d = tabular_indices(dataset)
     rng = np.random.default_rng(config.seed)
-    temp, alpha, every = config.cql_temp, config.cql_alpha, config.cql_target_every
+    temp, alpha, every = CQL_TEMP, config.cql_alpha, config.cql_target_every
     n = min(config.batch_size, len(s))
     cols = np.arange(n_actions)
     # gradient terms in accumulation order: n TD terms, n softmax rows, n -alpha/n terms
@@ -623,13 +612,13 @@ def _full_policy(probs: np.ndarray, mdp_hat: TabularMDP) -> TabularPolicy:
 
 
 def train_spibb_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
-                        config: AgentConfig, max_iters: int = 200) -> SpibbResult:
+                        config: AgentConfig) -> SpibbResult:
     """Policy iteration on the empirical MDP, constrained to copy the estimated
     behavior at state-action pairs with fewer than n_wedge visits."""
     behavior, counts, _ = estimate_behavior_tabular(dataset, n_states, n_actions)
     mdp_hat, _ = empirical_mdp_from_dataset(dataset, n_states, n_actions, config.gamma)
     probs = behavior.probs.copy()
-    for _ in range(max_iters):
+    for _ in range(SPIBB_MAX_ITERS):
         q = _q_on_empirical(mdp_hat, _full_policy(probs, mdp_hat))[:n_states]
         new = behavior.probs.copy()
         for st in range(n_states):

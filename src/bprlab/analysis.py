@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics
-from .bpr import EncoderModel, PredictorModel
+from .bpr import EncoderModel, PredictorModel, check_finite
 from .envs import (
     OfflineDataset,
     TabularMDP,
@@ -29,6 +29,7 @@ from .errors import (
 )
 
 DEFAULT_EPSILON = 0.01
+AUDIT_TOL = 1e-9  # run_counterexample_audit's tolerance on each exact value
 
 
 @dataclass
@@ -52,6 +53,7 @@ def effective_dimension(psi: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> Ef
     n, d = psi.shape
     gram = (psi.T @ psi) / n
     gram = 0.5 * (gram + gram.T)  # kill rounding asymmetry before the eigensolve
+    check_finite(gram, "feature Gram matrix")  # finite features whose products overflow
     eigs = numerics.symmetric_eigenvalues(gram)
     count = int(np.sum(eigs > epsilon))
     return EffectiveDimensionReport(epsilon, eigs, count, n, d)
@@ -179,7 +181,7 @@ def verify_theorem3(mdp: TabularMDP, dataset: OfflineDataset, cql_result,
                        lower_bound_precondition_held=held, theorem3_slack=slack)
 
 
-def run_counterexample_audit(reward_perturbation: float = 0.0, tol: float = 1e-9) -> dict:
+def run_counterexample_audit(reward_perturbation: float = 0.0) -> dict:
     """Reproduce the collapsed-representation failure: the four exact values,
     the greedy collapsed-model policy, and its zero true-environment value.
     reward_perturbation is a test hook that corrupts one dataset reward."""
@@ -191,7 +193,7 @@ def run_counterexample_audit(reward_perturbation: float = 0.0, tol: float = 1e-9
         mdp.reward[1, 0] += reward_perturbation
 
     def check(name, got, want):
-        if abs(got - want) > tol:
+        if abs(got - want) > AUDIT_TOL:
             raise AuditFailureError(f"{name}: got {got!r}, expected {want!r}")
         return got
 

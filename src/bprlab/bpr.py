@@ -19,6 +19,8 @@ from .errors import (
     UnusableDatasetError,
 )
 
+MIN_ACTION_NORM = 1e-6  # a smaller action has no direction to predict; pretraining drops it
+
 
 @dataclass
 class PretrainConfig:
@@ -27,7 +29,6 @@ class PretrainConfig:
     seed: int = 0
     repr_dim: int = 64
     learning_rate: float = 3e-4
-    min_action_norm: float = 1e-6
     encoder_hidden: tuple[int, ...] = (256, 256)
     predictor_hidden: tuple[int, ...] = (256, 256)
 
@@ -121,8 +122,7 @@ def build_encoder(state_dim: int, repr_dim: int, hidden: tuple[int, ...],
     return EncoderModel(numerics.init_mlp(dims, acts, rng))
 
 
-def bpr_loss(prediction: np.ndarray, action: np.ndarray,
-             min_action_norm: float = 1e-6) -> tuple[float, np.ndarray]:
+def bpr_loss(prediction: np.ndarray, action: np.ndarray) -> tuple[float, np.ndarray]:
     """||y_hat - a_hat||^2 with both arguments l2-normalized; the action is a
     constant target, so the gradient only flows through the prediction's
     normalization Jacobian. Works on single vectors or (n, k) batches, where
@@ -134,8 +134,8 @@ def bpr_loss(prediction: np.ndarray, action: np.ndarray,
     single = y.ndim == 1
     ab = a[None, :] if single else a
     norms = np.linalg.norm(ab, axis=1)
-    if np.any(norms < min_action_norm):
-        raise ContractViolationError("action norm below min_action_norm reached the loss")
+    if np.any(norms < MIN_ACTION_NORM):
+        raise ContractViolationError("action norm below MIN_ACTION_NORM reached the loss")
     a_bar = ab / norms[:, None]
     y_bar, back = numerics.l2_normalize_with_grad(y)
     yb = y_bar[None, :] if single else y_bar
@@ -149,14 +149,13 @@ def bpr_loss(prediction: np.ndarray, action: np.ndarray,
 
 
 def bpr_batch_grads(encoder: EncoderModel, predictor: PredictorModel,
-                    states: np.ndarray, actions: np.ndarray,
-                    min_action_norm: float = 1e-6):
+                    states: np.ndarray, actions: np.ndarray):
     """One joint forward/backward of the normalized prediction loss. Returns
     (loss, gradient): one vector of the encoder's then the predictor's parameter
     gradient, the order of share_buffer([encoder.net, predictor.net])."""
     z, enc_cache = numerics.forward(encoder.net, states)
     y, pred_cache = numerics.forward(predictor.net, z)
-    loss, gy = bpr_loss(y, actions, min_action_norm)
+    loss, gy = bpr_loss(y, actions)
     grad = np.empty(encoder.net.flat.size + predictor.net.flat.size)
     enc_grad, pred_grad = np.split(grad, [encoder.net.flat.size])
     _, gz = numerics.backward(predictor.net, pred_cache, gy, out=pred_grad)
@@ -164,18 +163,18 @@ def bpr_batch_grads(encoder: EncoderModel, predictor: PredictorModel,
     return loss, grad
 
 
-def filter_zero_norm_actions(dataset: OfflineDataset, min_action_norm: float):
+def filter_zero_norm_actions(dataset: OfflineDataset):
     s, a, _, _, _ = dataset.arrays()
-    keep = np.linalg.norm(a, axis=1) >= min_action_norm
+    keep = np.linalg.norm(a, axis=1) >= MIN_ACTION_NORM
     return s[keep], a[keep], int(np.sum(~keep))
 
 
 def pretrain(dataset: OfflineDataset, config: PretrainConfig):
     """Joint minibatch Adam on encoder + predictor; returns the frozen encoder,
     the per-step loss trace, and the (diagnostic) predictor."""
-    states, actions, n_dropped = filter_zero_norm_actions(dataset, config.min_action_norm)
+    states, actions, n_dropped = filter_zero_norm_actions(dataset)
     if states.shape[0] == 0:
-        raise UnusableDatasetError("all actions below min_action_norm")
+        raise UnusableDatasetError("all actions below MIN_ACTION_NORM")
     rng = np.random.default_rng(config.seed)
     encoder = build_encoder(dataset.state_dim, config.repr_dim, config.encoder_hidden, rng)
     predictor = PredictorModel.build(config.repr_dim, dataset.action_dim,
@@ -186,9 +185,7 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
     trace = np.zeros(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, states.shape[0], size=config.batch_size)
-        loss, grad = bpr_batch_grads(
-            encoder, predictor, states[idx], actions[idx], config.min_action_norm
-        )
+        loss, grad = bpr_batch_grads(encoder, predictor, states[idx], actions[idx])
         check_finite(loss, f"pretrain loss at step {step}")
         numerics.adam_step(adam, params, grad)
         trace[step] = loss

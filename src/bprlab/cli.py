@@ -64,14 +64,15 @@ def _apply_config_file(args, parser):
 
 
 def _check_config_value(action, key, value) -> None:
-    """A config value must have the JSON type of the flag it stands for."""
+    """A config value must have the JSON type of the flag it stands for, and be a
+    value the command line could give it: no string holds a NUL byte."""
     if action.nargs == 0:
         kinds = (bool,)
     else:
         kinds = {int: (int,), float: (int, float)}.get(action.type, (str,))
     items = value if isinstance(value, list) else [value]
     fits = (isinstance(value, list) == (action.nargs == "+") and len(items) > 0
-            and all(type(v) in kinds for v in items))
+            and all(type(v) in kinds and "\0" not in str(v) for v in items))
     if not fits and not (value is None and action.default is None):
         raise RejectedInputError(f"config field {key!r} has the wrong type: {value!r}")
 

@@ -28,6 +28,10 @@ _PROB_TOL = 1e-12
 # beyond its result is O(ROW_BLOCK), not O(rows).
 ROW_BLOCK = 2048
 
+GRID_SIZE, GRID_SLIP, GRID_DISCOUNT = 5, 0.1, 0.95  # the gridworld task (make_gridworld)
+COUNTEREXAMPLE_DISCOUNT = 1.0  # the state-collapse counterexample is undiscounted
+VI_TOL, VI_MAX_ITERS = 1e-12, 100_000  # value_iteration's stopping rule
+
 
 @dataclass
 class TabularMDP:
@@ -294,14 +298,14 @@ def random_mdp(n_states: int, n_actions: int, rng: np.random.Generator,
                       np.zeros(n_states, dtype=bool))
 
 
-def value_iteration(mdp: TabularMDP, tol: float = 1e-12, max_iters: int = 100_000):
+def value_iteration(mdp: TabularMDP):
     """Exact-to-tolerance optimal values; returns (V, Q, greedy policy)."""
     v = np.zeros(mdp.n_states)
     live = ~mdp.terminal
-    for _ in range(max_iters):
+    for _ in range(VI_MAX_ITERS):
         q = mdp.reward + mdp.discount * (mdp.transition @ v)
         v_new = np.where(live, q.max(axis=1), 0.0)
-        if np.max(np.abs(v_new - v)) < tol:
+        if np.max(np.abs(v_new - v)) < VI_TOL:
             v = v_new
             break
         v = v_new
@@ -309,10 +313,11 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-12, max_iters: int = 100_00
     return v, q, TabularPolicy.deterministic(q.argmax(axis=1), mdp.n_actions)
 
 
-def make_gridworld(size: int = 5, slip: float = 0.1, discount: float = 0.95,
-                   r_max: float = 1.0) -> TabularMDP:
-    """size x size grid, 4 moves, slip probability to a uniform random move,
-    start at one corner, absorbing goal at the opposite corner paying r_max."""
+def make_gridworld() -> TabularMDP:
+    """GRID_SIZE x GRID_SIZE grid, 4 moves, GRID_SLIP probability to a uniform
+    random move, start at one corner, absorbing goal at the opposite corner
+    paying 1 (r_max)."""
+    size, slip = GRID_SIZE, GRID_SLIP
     n_states = size * size
     n_actions = 4
     moves = [(-1, 0), (1, 0), (0, -1), (0, 1)]
@@ -334,12 +339,12 @@ def make_gridworld(size: int = 5, slip: float = 0.1, discount: float = 0.95,
                 s2 = clamp(r + dr, c + dc)
                 t[s, a, s2] += p
                 if s2 == goal:
-                    rew[s, a] += p * r_max
+                    rew[s, a] += p
     rho = np.zeros(n_states)
     rho[0] = 1.0
     terminal = np.zeros(n_states, dtype=bool)
     terminal[goal] = True
-    return TabularMDP(n_states, n_actions, t, rew, rho, discount, r_max, terminal)
+    return TabularMDP(n_states, n_actions, t, rew, rho, GRID_DISCOUNT, 1.0, terminal)
 
 
 def epsilon_greedy_policy(greedy: TabularPolicy, epsilon: float) -> TabularPolicy:
@@ -349,7 +354,7 @@ def epsilon_greedy_policy(greedy: TabularPolicy, epsilon: float) -> TabularPolic
 
 
 def build_counterexample() -> tuple[TabularMDP, OfflineDataset, np.ndarray]:
-    """Two-state episodic MDP (gamma = 1), its six-transition dataset of four
+    """Two-state episodic MDP (undiscounted), its six-transition dataset of four
     trajectories, and the state-collapse map that merges both live states."""
     n_states, n_actions = 3, 2  # s0, s1, terminal
     t = np.zeros((n_states, n_actions, n_states))
@@ -362,7 +367,7 @@ def build_counterexample() -> tuple[TabularMDP, OfflineDataset, np.ndarray]:
     r[1, 0] = 1.0
     rho = np.array([1.0, 0.0, 0.0])
     terminal = np.array([False, False, True])
-    mdp = TabularMDP(n_states, n_actions, t, r, rho, 1.0, 1.0, terminal)
+    mdp = TabularMDP(n_states, n_actions, t, r, rho, COUNTEREXAMPLE_DISCOUNT, 1.0, terminal)
 
     rows = [  # (s, a, r, s2, done)
         (0, 0, 0.0, 2, True),
@@ -418,12 +423,13 @@ def collapse_dataset(dataset: OfflineDataset, collapse: np.ndarray) -> OfflineDa
 
 
 def evaluate_on_empirical_collapsed_model(dataset: OfflineDataset, collapse: np.ndarray,
-                                          policy_probs: np.ndarray, discount: float = 1.0) -> float:
-    """Build the ML empirical MDP over collapsed states and evaluate the given
-    policy (rows indexed by collapsed state) exactly."""
+                                          policy_probs: np.ndarray) -> float:
+    """Build the ML empirical MDP over collapsed states, with the counterexample's
+    discount, and evaluate the given policy (rows indexed by collapsed state) exactly."""
     collapsed = collapse_dataset(dataset, collapse)
     n_collapsed = collapsed.state_dim
-    mdp, counts = empirical_mdp_from_dataset(collapsed, n_collapsed, collapsed.action_dim, discount)
+    mdp, counts = empirical_mdp_from_dataset(collapsed, n_collapsed, collapsed.action_dim,
+                                             COUNTEREXAMPLE_DISCOUNT)
     probs = np.asarray(policy_probs, dtype=np.float64)
     if probs.ndim == 1:
         probs = np.tile(probs, (n_collapsed, 1))

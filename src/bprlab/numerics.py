@@ -26,6 +26,9 @@ _TAG_ACT = {v: k for k, v in _ACT_TAG.items()}
 
 CHECKPOINT_MAGIC = b"BPRCKPT1"
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba 2014, arXiv 1412.6980
+L2_FLOOR = 1e-8  # l2_normalize_with_grad divides by at least this norm
+
 
 @dataclass
 class Layer:
@@ -227,23 +230,23 @@ def backward(
     return grad, (g[0] if cache.single else g)
 
 
-def l2_normalize_with_grad(v: np.ndarray, eps_stability: float = 1e-8):
-    """Row-wise v / max(||v||, eps). Returns (unit, backprop) where
+def l2_normalize_with_grad(v: np.ndarray):
+    """Row-wise v / max(||v||, L2_FLOOR). Returns (unit, backprop) where
     backprop maps a gradient w.r.t. the output to one w.r.t. v."""
     v = np.asarray(v, dtype=np.float64)
     single = v.ndim == 1
     vv = v[None, :] if single else v
     norms = np.linalg.norm(vv, axis=1, keepdims=True)
-    denom = np.maximum(norms, eps_stability)
+    denom = np.maximum(norms, L2_FLOOR)
     u = vv / denom
-    floored = norms[:, 0] <= eps_stability
+    floored = norms[:, 0] <= L2_FLOOR
 
     def backprop(gu: np.ndarray) -> np.ndarray:
         g = gu[None, :] if single else np.asarray(gu, dtype=np.float64)
-        # Jacobian (I - u u^T)/||v|| above the floor, I/eps below it.
+        # Jacobian (I - u u^T)/||v|| above the floor, I/L2_FLOOR below it.
         gv = (g - u * np.sum(u * g, axis=1, keepdims=True)) / denom
         if np.any(floored):
-            gv[floored] = g[floored] / eps_stability
+            gv[floored] = g[floored] / L2_FLOOR
         return gv[0] if single else gv
 
     return (u[0] if single else u), backprop
@@ -255,18 +258,10 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_stability: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: np.ndarray, learning_rate: float = 3e-4, **kw):
-        return cls(
-            first_moment=np.zeros_like(params),
-            second_moment=np.zeros_like(params),
-            learning_rate=learning_rate,
-            **kw,
-        )
+    def for_params(cls, params: np.ndarray, learning_rate: float = 3e-4):
+        return cls(np.zeros_like(params), np.zeros_like(params), learning_rate=learning_rate)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -281,16 +276,16 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
     # params -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order of operations
-    step = m / (1.0 - state.beta1**t)
+    step = m / (1.0 - ADAM_BETA1**t)
     step *= state.learning_rate
-    denom = v / (1.0 - state.beta2**t)
+    denom = v / (1.0 - ADAM_BETA2**t)
     np.sqrt(denom, out=denom)
-    denom += state.eps_stability
+    denom += ADAM_EPS
     step /= denom
     params -= step
     return params

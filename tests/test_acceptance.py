@@ -54,7 +54,7 @@ def normalized(ret, expert_ret, random_ret):
 
 def test_criterion_1_counterexample_exactness():
     t0 = time.time()
-    rep = analysis.run_counterexample_audit(tol=1e-9)
+    rep = analysis.run_counterexample_audit()
     elapsed = time.time() - t0
     assert abs(rep["J_behavior_hat"] - 0.25) <= 1e-9
     assert abs(rep["J_collapsed_a0"] - 1.0 / 3.0) <= 1e-9

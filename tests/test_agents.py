@@ -100,7 +100,7 @@ class TestLossGradients:
         # the trainer's former lambda: a separate policy and Q1 forward pass
         qv = q.value(self.x, pol.act(self.x))
         lam = 2.5 / max(np.mean(np.abs(qv)), 1e-8)
-        l_own, g_own = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, alpha=2.5)
+        l_own, g_own = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a)
         l_fix, g_fix = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, lam=lam)
         assert np.float64(l_own).tobytes() == np.float64(l_fix).tobytes()
         assert g_own.tobytes() == g_fix.tobytes()
@@ -437,20 +437,13 @@ class TestTabularCql:
             _, j_exact = envs.evaluate_policy_exact(mdp, res.policy)
             assert j_perp <= j_exact + 0.1
 
-    def test_nonpositive_temperature_rejected(self):
-        mdp = self.make_chain()
-        ds = envs.generate_tabular_dataset(mdp, envs.TabularPolicy.uniform(3, 2), 100, seed=0)
-        with pytest.raises(RejectedInputError):
-            cfg = agents.AgentConfig(algorithm="cql", gamma=0.9, cql_temp=0.0)
-            agents.train_cql(ds, cfg, tabular_shape=(3, 2))
-
 
 def reference_cql_tabular(dataset, n_states, n_actions, config, nudge_targets=False):
     """The per-sample tabular CQL loop that train_cql_tabular must reproduce
     bit for bit. nudge_targets moves every TD target up by one ulp."""
     s, a, r, s2, d = envs.tabular_indices(dataset)
     rng = np.random.default_rng(config.seed)
-    temp = config.cql_temp
+    temp = agents.CQL_TEMP
     q = np.zeros((n_states, n_actions))
     q_t = q.copy()
     adam = numerics.AdamState.for_params(q, config.learning_rate)
@@ -603,7 +596,7 @@ class TestConfigValidation:
         ("learning_rate", np.nan), ("learning_rate", -1.0), ("learning_rate", 0.0),
         ("learning_rate", np.inf), ("co_train_encoder_lr", np.nan), ("co_train_encoder_lr", 0.0),
         ("cql_alpha", -1.0), ("cql_alpha", np.inf), ("cql_alpha", np.nan),
-        ("cql_temp", 0.0), ("cql_temp", np.nan), ("cql_target_every", 0),
+        ("cql_target_every", 0),
         ("gamma", np.nan), ("gamma", np.inf), ("gamma", 1.5), ("gamma", -1.0),
         ("n_wedge", np.nan), ("n_wedge", -1.0),
     ])

@@ -131,7 +131,7 @@ class TestFiltering:
         actions = np.array([[1.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
         ds = envs.OfflineDataset(2, 2, np.zeros((3, 2)), actions, np.zeros(3),
                                  np.zeros((3, 2)), np.ones(3, dtype=bool))
-        s, a, dropped = bpr.filter_zero_norm_actions(ds, 1e-6)
+        s, a, dropped = bpr.filter_zero_norm_actions(ds)
         assert dropped == 1 and s.shape[0] == 2
 
     def test_all_dropped_raises(self):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import struct
@@ -389,6 +391,21 @@ def test_diverging_run_exits_2_and_writes_no_summary(workdir, capsys):
     assert not os.path.exists("bc-summary.json")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram matmul overflows at 1e80
+@pytest.mark.parametrize("rate, code", [("1e80", 2), ("1e70", EXIT_OK)])
+def test_probe_whose_feature_gram_overflows_is_a_divergence(workdir, capsys, rate, code):
+    # the probed critic features are finite at both rates; at 1e80 their Gram matrix is not
+    run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+    capsys.readouterr()
+    assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "td3bc",
+                "--gradient-steps", "1", "--hidden", "8", "8", "--batch-size", "16",
+                f"--learning-rate={rate}", "--probe-ed", "1", "--eval-every", "0",
+                "--out", "."]) == code
+    if code == 2:
+        assert capsys.readouterr().err == "error: non-finite feature Gram matrix\n"
+        assert not os.path.exists("td3bc-summary.json")
+
+
 @pytest.mark.parametrize("error, code", [
     (errors.RejectedInputError, 1), (OSError, 1),
     (errors.TrainingDivergenceError, 2), (errors.UnusableDatasetError, 2),
@@ -605,3 +622,83 @@ def test_fuzzed_numeric_flags_exit_0_1_or_2_and_never_raise(pointmass_200, argv)
         for name in os.listdir(out):
             if name.endswith(".json"):
                 strict_json(Path(out, name).read_text())
+
+
+# Byte-mutated inputs: one to three bytes of a pinned dataset file or of a config
+# file are replaced or deleted. The size flags stay on the command line, so that a
+# mutation cannot ask for thousands of steps or a huge net.
+_SMALL_TRAIN = ["--gradient-steps", "2", "--batch-size", "16", "--hidden", "8",
+                "--eval-every", "0"]
+_SMALL_PRETRAIN = ["pretrain", "--steps", "1", "--batch-size", "16", "--hidden", "8"]
+_FUZZ_CONFIGS = {
+    "train": {"learning-rate": 0.001, "gamma": 0.9, "cql-alpha": 1.0, "n-wedge": 5.0,
+              "seeds": "0,1", "threshold": -50.0, "label": "fz"},
+    "pretrain": {"learning-rate": 0.001, "seed": 0, "repr-dim": 4},
+}
+_MUTATION = st.tuples(st.integers(0, 2**16), st.one_of(  # None deletes the byte
+    st.none(), st.sampled_from(b"0123456789"), st.sampled_from(b'-+.eE"[]{},: \nNIt'),
+    st.integers(0, 255)))
+
+
+@st.composite
+def _mutated_run(draw):
+    """(name of the file to mutate, its bytes, argv with that file as ./<name>)."""
+    target = draw(st.sampled_from(["gridworld", "pointmass", "config"]))
+    if target == "gridworld":
+        name = "gridworld-eps0.3-50.jsonl"
+        algo = draw(st.sampled_from(["spibb", "cql"]))
+        argv = ["train", "--task", "gridworld", "--algo", algo, *_SMALL_TRAIN,
+                "--probe-bounds"]
+    elif draw(st.booleans()):
+        name = "pointmass-mixture-20.jsonl"
+        algo = draw(st.sampled_from(["bc", "td3bc", "cql"]))
+        argv = ["train", "--task", "pointmass", "--algo", algo, *_SMALL_TRAIN,
+                *([] if algo == "bc" else ["--probe-ed", "1"])]
+    else:
+        name, argv = "pointmass-mixture-20.jsonl", list(_SMALL_PRETRAIN)
+    if target == "config":
+        argv += ["--dataset", str(DATA_DIR / name), "--config", "./cfg.json"]
+        name, data = "cfg.json", json.dumps(_FUZZ_CONFIGS[argv[0]]).encode()
+    else:
+        argv += ["--dataset", f"./{name}"]
+        data = (DATA_DIR / name).read_bytes()
+    data = bytearray(data)
+    for pos, byte in draw(st.lists(_MUTATION, min_size=1, max_size=3)):
+        pos %= len(data)
+        if byte is None:
+            del data[pos]
+        else:
+            data[pos] = byte
+    return name, bytes(data), argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # mutated values may overflow
+@settings(max_examples=60, deadline=None)
+@given(case=_mutated_run())
+# a NUL byte in a path-forming string once escaped os.replace as a raw ValueError
+@example(case=("cfg.json", b'{"label": "f\\u0000z"}',
+               ["train", "--task", "pointmass", "--algo", "bc", *_SMALL_TRAIN,
+                "--dataset", str(DATA_DIR / "pointmass-mixture-20.jsonl"),
+                "--config", "./cfg.json"]))
+@example(case=("cfg.json", b'{"name": "\\u0000"}',
+               [*_SMALL_PRETRAIN, "--dataset", str(DATA_DIR / "pointmass-mixture-20.jsonl"),
+                "--config", "./cfg.json"]))
+def test_byte_mutated_dataset_or_config_exits_0_1_or_2_and_never_raises(tmp_path_factory, case):
+    name, data, argv = case
+    out = tmp_path_factory.mktemp("mutated")  # this run's files only
+    (out / name).write_bytes(data)
+    cwd, err = os.getcwd(), io.StringIO()
+    os.chdir(out)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = run([*argv, "--out", "."])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    written = set(os.listdir(out)) - {name}
+    if code == 0:
+        for json_file in (n for n in written if n.endswith(".json")):
+            strict_json((out / json_file).read_text())
+    else:  # one error line, and no summary or checkpoint
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert not any(n.endswith(("-summary.json", ".ckpt")) for n in written), written

@@ -218,7 +218,7 @@ class TestL2Normalize:
 
     def test_below_floor_uses_identity_over_eps(self):
         v = np.zeros(3)
-        u, back = numerics.l2_normalize_with_grad(v, eps_stability=1e-8)
+        u, back = numerics.l2_normalize_with_grad(v)
         np.testing.assert_array_equal(u, 0.0)
         g = np.array([1.0, 0.0, 0.0])
         np.testing.assert_allclose(back(g), g / 1e-8)
@@ -273,7 +273,8 @@ class TestInPlaceAdam:
         state = numerics.AdamState.for_params(params, learning_rate=3e-3)
         ref = params.copy()
         m, v = np.zeros_like(params), np.zeros_like(params)
-        b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps_stability
+        b1, b2, eps = numerics.ADAM_BETA1, numerics.ADAM_BETA2, numerics.ADAM_EPS
+        lr = state.learning_rate
         for t in range(1, 30):
             g = rng.normal(size=params.size) * 10.0 ** rng.integers(-6, 3, size=params.size)
             assert numerics.adam_step(state, params, g) is params
