@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .bpr import EncoderModel, build_encoder, check_finite, check_learning_rate
+from .bpr import EncoderModel, build_action_net, build_encoder, check_finite, check_learning_rate
 from .envs import (
     OfflineDataset,
     PointMassEnv,
@@ -26,6 +26,7 @@ from .envs import (
     tabular_indices,
 )
 from .errors import ContractViolationError, RejectedInputError
+from .numerics import MlpModel
 
 TRACE_COLUMNS = ("step", "critic_loss", "actor_loss",
                  "eval_return_mean", "eval_return_std", "effective_dimension")
@@ -84,132 +85,104 @@ class AgentConfig:
                                      f"{self.cql_target_every}")
 
 
-class PolicyModel:
-    """Deterministic tanh policy: actions lie in [-1, 1], the point mass's box."""
-
-    def __init__(self, net: numerics.MlpModel):
-        if net.layers[-1].activation != "tanh":
-            raise RejectedInputError("policy net must end with tanh")
-        self.net = net
-
-    @classmethod
-    def build(cls, input_dim: int, action_dim: int, hidden: tuple[int, ...],
-              rng: np.random.Generator) -> "PolicyModel":
-        dims = [input_dim, *hidden, action_dim]
-        acts = ["relu"] * len(hidden) + ["tanh"]
-        return cls(numerics.init_mlp(dims, acts, rng))
-
-    def act(self, x: np.ndarray) -> np.ndarray:
-        return numerics.forward(self.net, x)[0]
+def build_critic(input_dim: int, action_dim: int, hidden: tuple[int, ...],
+                 rng: np.random.Generator, hidden_activation: str) -> MlpModel:
+    """State-action value net with a scalar output; its last hidden layer is the
+    feature layer that extract_features reads, so it needs one."""
+    if not hidden:
+        raise RejectedInputError("a critic needs at least one hidden layer")
+    dims = [input_dim + action_dim, *hidden, 1]
+    acts = [hidden_activation] * len(hidden) + ["identity"]
+    return numerics.init_mlp(dims, acts, rng)
 
 
-class QModel:
-    """State-action value net; the last hidden layer is the feature layer."""
-
-    def __init__(self, net: numerics.MlpModel):
-        if len(net.layers) < 2 or net.layers[-1].weight.shape[0] != 1:
-            raise RejectedInputError("Q net needs >= 2 layers and scalar output")
-        self.net = net
-
-    @classmethod
-    def build(cls, input_dim: int, action_dim: int, hidden: tuple[int, ...],
-              rng: np.random.Generator, hidden_activation: str = "relu") -> "QModel":
-        dims = [input_dim + action_dim, *hidden, 1]
-        acts = [hidden_activation] * len(hidden) + ["identity"]
-        return cls(numerics.init_mlp(dims, acts, rng))
-
-    @property
-    def feature_dim(self) -> int:
-        return self.net.layers[-1].weight.shape[1]
-
-    def value(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        q, _ = numerics.forward(self.net, np.concatenate([x, a], axis=1))
-        return q[:, 0]
+def q_value(q: MlpModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return numerics.forward(q, np.concatenate([x, a], axis=1))[0][:, 0]
 
 
-def extract_features(q: QModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+def extract_features(q: MlpModel, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Penultimate-layer activations, one row per (x, a) pair."""
     if x.shape[0] == 0:
         raise RejectedInputError("empty feature batch")
-    _, cache = numerics.forward(q.net, np.concatenate([x, a], axis=1))
+    _, cache = numerics.forward(q, np.concatenate([x, a], axis=1))
     return cache.inputs[-1].copy()
 
 
 # ---------------------------------------------------------------- losses
 
 
-def bc_loss_and_grads(policy: PolicyModel, x: np.ndarray, a: np.ndarray):
-    y, cache = numerics.forward(policy.net, x)
+def bc_loss_and_grads(policy: MlpModel, x: np.ndarray, a: np.ndarray):
+    y, cache = numerics.forward(policy, x)
     diff = y - a
     n = x.shape[0]
     loss = float(np.sum(diff * diff, axis=1).mean())
     gy = 2.0 * diff / n
-    grad, _ = numerics.backward(policy.net, cache, gy, input_grad=False)
+    grad, _ = numerics.backward(policy, cache, gy, input_grad=False)
     return loss, grad
 
 
-def cql_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
+def cql_actor_loss_and_grads(policy: MlpModel, q: MlpModel, x: np.ndarray,
                              policy_forward=None):
     """-mean Q(x, pi(x)); critic held fixed. policy_forward is the (output,
     cache) of the policy on x, when the caller has already run it."""
-    y, pcache = numerics.forward(policy.net, x) if policy_forward is None else policy_forward
+    y, pcache = numerics.forward(policy, x) if policy_forward is None else policy_forward
     n = x.shape[0]
-    qv, qcache = numerics.forward(q.net, np.concatenate([x, y], axis=1))
+    qv, qcache = numerics.forward(q, np.concatenate([x, y], axis=1))
     loss = float(-qv[:, 0].mean())
-    _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -1.0 / n), param_grads=False)
+    _, gqin = numerics.backward(q, qcache, np.full((n, 1), -1.0 / n), param_grads=False)
     gy = gqin[:, x.shape[1]:]
-    grad, _ = numerics.backward(policy.net, pcache, gy, input_grad=False)
+    grad, _ = numerics.backward(policy, pcache, gy, input_grad=False)
     return loss, grad
 
 
-def td3bc_actor_loss_and_grads(policy: PolicyModel, q: QModel, x: np.ndarray,
+def td3bc_actor_loss_and_grads(policy: MlpModel, q: MlpModel, x: np.ndarray,
                                a: np.ndarray, lam: float | None = None):
     """-lam * mean Q(x, pi(x)) + mean ||pi(x) - a||^2; lam is a constant.
     lam=None takes TD3+BC's lam = TD3BC_ALPHA / mean |Q(x, pi(x))| from this
     same forward pass."""
-    y, pcache = numerics.forward(policy.net, x)
+    y, pcache = numerics.forward(policy, x)
     n = x.shape[0]
     qin = np.concatenate([x, y], axis=1)
-    qv, qcache = numerics.forward(q.net, qin)
+    qv, qcache = numerics.forward(q, qin)
     if lam is None:
         lam = TD3BC_ALPHA / max(np.mean(np.abs(qv[:, 0])), 1e-8)
     diff = y - a
     loss = float(-lam * qv[:, 0].mean() + np.sum(diff * diff, axis=1).mean())
-    _, gqin = numerics.backward(q.net, qcache, np.full((n, 1), -lam / n), param_grads=False)
+    _, gqin = numerics.backward(q, qcache, np.full((n, 1), -lam / n), param_grads=False)
     gy = gqin[:, x.shape[1]:] + 2.0 * diff / n
-    grad, _ = numerics.backward(policy.net, pcache, gy, input_grad=False)
+    grad, _ = numerics.backward(policy, pcache, gy, input_grad=False)
     return loss, grad
 
 
-def critic_td_loss_and_grads(q: QModel, x: np.ndarray, a: np.ndarray, target: np.ndarray,
+def critic_td_loss_and_grads(q: MlpModel, x: np.ndarray, a: np.ndarray, target: np.ndarray,
                              out: np.ndarray | None = None, g_x: np.ndarray | None = None):
     """Mean squared TD error and its parameter gradient, written into out when
     given; when g_x is given, the gradient w.r.t. x is added into it."""
-    qv, cache = numerics.forward(q.net, np.concatenate([x, a], axis=1))
+    qv, cache = numerics.forward(q, np.concatenate([x, a], axis=1))
     td = qv[:, 0] - target
     n = x.shape[0]
     loss = float(np.mean(td * td))
-    grad, gin = numerics.backward(q.net, cache, (2.0 * td / n)[:, None],
+    grad, gin = numerics.backward(q, cache, (2.0 * td / n)[:, None],
                                   input_grad=g_x is not None, out=out)
     if g_x is not None:
         g_x += gin[:, : x.shape[1]]
     return loss, grad
 
 
-def cql_critic_loss_and_grads(q: QModel, x: np.ndarray, a_data: np.ndarray,
+def cql_critic_loss_and_grads(q: MlpModel, x: np.ndarray, a_data: np.ndarray,
                               target: np.ndarray, candidates: np.ndarray,
                               alpha: float):
     """TD loss plus alpha * mean(logsumexp_j Q(x, c_j) - Q(x, a_data)).
     candidates has shape (n, m, action_dim)."""
     n, m, adim = candidates.shape
-    qd, dcache = numerics.forward(q.net, np.concatenate([x, a_data], axis=1))
+    qd, dcache = numerics.forward(q, np.concatenate([x, a_data], axis=1))
     td = qd[:, 0] - target
     loss = float(np.mean(td * td))
     g_qd = 2.0 * td / n
 
     # the repeated x rows live only until they are joined to the candidates
     qin = np.concatenate([np.repeat(x, m, axis=0), candidates.reshape(n * m, adim)], axis=1)
-    qc, ccache = numerics.forward(q.net, qin)
+    qc, ccache = numerics.forward(q, qin)
     qc = qc.reshape(n, m)
     mx = qc.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.sum(np.exp(qc - mx), axis=1))
@@ -218,8 +191,8 @@ def cql_critic_loss_and_grads(q: QModel, x: np.ndarray, a_data: np.ndarray,
     g_qd = g_qd - alpha / n
     g_qc = alpha * soft / n
 
-    grad, _ = numerics.backward(q.net, dcache, g_qd[:, None], input_grad=False)
-    grad += numerics.backward(q.net, ccache, g_qc.reshape(n * m, 1), input_grad=False)[0]
+    grad, _ = numerics.backward(q, dcache, g_qd[:, None], input_grad=False)
+    grad += numerics.backward(q, ccache, g_qc.reshape(n * m, 1), input_grad=False)[0]
     return loss, grad
 
 
@@ -235,8 +208,8 @@ def _soft_update(target: np.ndarray, source: np.ndarray, tau: float):
 
 @dataclass
 class TrainResult:
-    policy: PolicyModel | None
-    critics: tuple[QModel, ...]
+    policy: MlpModel | None
+    critics: tuple[MlpModel, ...]
     encoder: EncoderModel | None
     trace: list[dict] = field(default_factory=list)
     psi_trace: list[tuple[int, np.ndarray]] = field(default_factory=list)
@@ -283,10 +256,10 @@ def _encoder_inputs(config: AgentConfig, encoder: EncoderModel | None, state_dim
     return encoder, states, next_states, x2_rows
 
 
-def _rollout_policy(policy: PolicyModel, encoder: EncoderModel | None, use_encoder: bool):
+def _rollout_policy(policy: MlpModel, encoder: EncoderModel | None, use_encoder: bool):
     def act(state):
         x = encoder.encode(state) if use_encoder else state
-        return policy.act(x)
+        return numerics.forward(policy, x)[0]
     return act
 
 
@@ -384,14 +357,14 @@ def train_bc(dataset: OfflineDataset, config: AgentConfig,
     states, actions, _, _, _ = dataset.arrays()
     rng = np.random.default_rng(config.seed)
     encoder, x_all, _, _ = _encoder_inputs(config, encoder, dataset.state_dim, rng, states)
-    policy = PolicyModel.build(x_all.shape[1], dataset.action_dim, config.hidden, rng)
-    adam = numerics.AdamState.for_params(policy.net.flat, config.learning_rate)
+    policy = build_action_net(x_all.shape[1], dataset.action_dim, config.hidden, rng)
+    adam = numerics.AdamState.for_params(policy.flat, config.learning_rate)
 
     def step_fn(step):
         idx = rng.integers(0, x_all.shape[0], size=config.batch_size)
         loss, grad = bc_loss_and_grads(policy, x_all[idx], actions[idx])
         check_finite(loss, f"bc loss at step {step}")
-        numerics.adam_step(adam, policy.net.flat, grad)
+        numerics.adam_step(adam, policy.flat, grad)
         return None, loss
 
     result = TrainResult(policy, (), encoder)
@@ -410,18 +383,16 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
     input_dim = encoder.repr_dim if config.use_encoder else dataset.state_dim
     adim = dataset.action_dim
 
-    policy = PolicyModel.build(input_dim, adim, config.hidden, rng)
-    q1 = QModel.build(input_dim, adim, config.hidden, rng, config.q_hidden_activation)
-    q2 = QModel.build(input_dim, adim, config.hidden, rng, config.q_hidden_activation)
-    policy_t = PolicyModel(policy.net.copy())
-    q1_t = QModel(q1.net.copy())
-    q2_t = QModel(q2.net.copy())
+    policy = build_action_net(input_dim, adim, config.hidden, rng)
+    q1 = build_critic(input_dim, adim, config.hidden, rng, config.q_hidden_activation)
+    q2 = build_critic(input_dim, adim, config.hidden, rng, config.q_hidden_activation)
+    policy_t, q1_t, q2_t = policy.copy(), q1.copy(), q2.copy()
     # the twin critics share one buffer, and so do their targets
-    q_flat = numerics.share_buffer([q1.net, q2.net])
-    q_t_flat = numerics.share_buffer([q1_t.net, q2_t.net])
+    q_flat = numerics.share_buffer([q1, q2])
+    q_t_flat = numerics.share_buffer([q1_t, q2_t])
     q_grad = np.empty_like(q_flat)  # the twin critics' joint gradient
 
-    adam_pi = numerics.AdamState.for_params(policy.net.flat, config.learning_rate)
+    adam_pi = numerics.AdamState.for_params(policy.flat, config.learning_rate)
     adam_q = numerics.AdamState.for_params(q_flat, config.learning_rate)
     enc_lr = config.co_train_encoder_lr if config.co_train_encoder_lr is not None \
         else config.learning_rate
@@ -442,14 +413,14 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
 
         noise = np.clip(rng.normal(0.0, TARGET_NOISE, size=(len(idx), adim)),
                         -NOISE_CLIP, NOISE_CLIP)
-        a2 = np.clip(policy_t.act(x2b) + noise, -1.0, 1.0)
-        tq = np.minimum(q1_t.value(x2b, a2), q2_t.value(x2b, a2))
+        a2 = np.clip(numerics.forward(policy_t, x2b)[0] + noise, -1.0, 1.0)
+        tq = np.minimum(q_value(q1_t, x2b, a2), q_value(q2_t, x2b, a2))
         target = rb + config.gamma * (1.0 - db.astype(np.float64)) * tq
 
         # critic update; in co-train mode the critic gradient also reaches the encoder
         closs = 0.0
         g_x = np.zeros_like(xb) if co_train else None
-        for qm, grad in zip((q1, q2), np.split(q_grad, [q1.net.flat.size])):
+        for qm, grad in zip((q1, q2), np.split(q_grad, [q1.flat.size])):
             closs += critic_td_loss_and_grads(qm, xb, ab, target, out=grad, g_x=g_x)[0]
         check_finite(closs, f"critic loss at step {step}")
         numerics.adam_step(adam_q, q_flat, q_grad)
@@ -461,9 +432,9 @@ def train_td3bc(dataset: OfflineDataset, config: AgentConfig,
         if step % POLICY_DELAY == 0:
             aloss, pgrad = td3bc_actor_loss_and_grads(policy, q1, xb, ab)
             check_finite(aloss, f"actor loss at step {step}")
-            numerics.adam_step(adam_pi, policy.net.flat, pgrad)
+            numerics.adam_step(adam_pi, policy.flat, pgrad)
             last_actor_loss = aloss
-            _soft_update(policy_t.net.flat, policy.net.flat, TAU)
+            _soft_update(policy_t.flat, policy.flat, TAU)
             _soft_update(q_t_flat, q_flat, TAU)
         return closs, last_actor_loss
 
@@ -481,29 +452,30 @@ def train_cql_continuous(dataset: OfflineDataset, config: AgentConfig,
                                                       rng, states, next_states)
     input_dim, adim = x_all.shape[1], dataset.action_dim
 
-    policy = PolicyModel.build(input_dim, adim, config.hidden, rng)
-    q = QModel.build(input_dim, adim, config.hidden, rng, config.q_hidden_activation)
-    q_t = QModel(q.net.copy())
-    adam_pi = numerics.AdamState.for_params(policy.net.flat, config.learning_rate)
-    adam_q = numerics.AdamState.for_params(q.net.flat, config.learning_rate)
+    policy = build_action_net(input_dim, adim, config.hidden, rng)
+    q = build_critic(input_dim, adim, config.hidden, rng, config.q_hidden_activation)
+    q_t = q.copy()
+    adam_pi = numerics.AdamState.for_params(policy.flat, config.learning_rate)
+    adam_q = numerics.AdamState.for_params(q.flat, config.learning_rate)
 
     def step_fn(step):
         idx = rng.integers(0, states.shape[0], size=config.batch_size)
         xb, x2b = x_all[idx], x2_all[x2_rows[idx]]
         ab, rb, db = actions[idx], rewards[idx], dones[idx]
-        target = rb + config.gamma * (1.0 - db.astype(np.float64)) * q_t.value(x2b, policy.act(x2b))
+        a2 = numerics.forward(policy, x2b)[0]
+        target = rb + config.gamma * (1.0 - db.astype(np.float64)) * q_value(q_t, x2b, a2)
         cand = rng.uniform(-1.0, 1.0, size=(len(idx), CQL_N_SAMPLES, adim))
         # the policy's forward pass on xb serves the candidates and the actor loss
-        pi_forward = numerics.forward(policy.net, xb)
+        pi_forward = numerics.forward(policy, xb)
         cand = np.concatenate([cand, pi_forward[0][:, None, :]], axis=1)
         closs, cgrad = cql_critic_loss_and_grads(q, xb, ab, target, cand, config.cql_alpha)
         check_finite(closs, f"cql critic loss at step {step}")
-        numerics.adam_step(adam_q, q.net.flat, cgrad)
+        numerics.adam_step(adam_q, q.flat, cgrad)
 
         aloss, pgrad = cql_actor_loss_and_grads(policy, q, xb, pi_forward)
         check_finite(aloss, f"cql actor loss at step {step}")
-        numerics.adam_step(adam_pi, policy.net.flat, pgrad)
-        _soft_update(q_t.net.flat, q.net.flat, TAU)
+        numerics.adam_step(adam_pi, policy.flat, pgrad)
+        _soft_update(q_t.flat, q.flat, TAU)
         return closs, aloss
 
     result = TrainResult(policy, (q,), encoder)

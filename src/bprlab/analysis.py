@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics
-from .bpr import EncoderModel, PredictorModel, check_finite
+from .bpr import EncoderModel, check_finite
 from .envs import (
     OfflineDataset,
     TabularMDP,
@@ -86,12 +86,12 @@ def eps_beta_empirical_tabular(dataset: OfflineDataset, true_behavior: TabularPo
 
 
 def eps_beta_empirical_continuous(dataset: OfflineDataset, encoder: EncoderModel,
-                                  predictor: PredictorModel) -> float:
+                                  predictor: numerics.MlpModel) -> float:
     """(1/n) sum ||f(phi(s_i)) - a_i||_2 with dataset actions standing in for
     behavior samples (un-squared norm)."""
     s, a, _, _, _ = dataset.arrays()
     z = encoder.encode(s)
-    y, _ = numerics.forward(predictor.net, z)
+    y, _ = numerics.forward(predictor, z)
     return float(np.mean(np.linalg.norm(y - a, axis=1)))
 
 

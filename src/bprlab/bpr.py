@@ -99,20 +99,13 @@ class EncoderModel:
         return EncoderModel(self.net.copy(), self.frozen if frozen is None else frozen)
 
 
-class PredictorModel:
-    """Representation -> action head: two hidden ReLU layers, final tanh."""
-
-    def __init__(self, net: numerics.MlpModel):
-        if net.layers[-1].activation != "tanh":
-            raise RejectedInputError("predictor must end with tanh")
-        self.net = net
-
-    @classmethod
-    def build(cls, repr_dim: int, action_dim: int, hidden: tuple[int, ...],
-              rng: np.random.Generator) -> "PredictorModel":
-        dims = [repr_dim, *hidden, action_dim]
-        acts = ["relu"] * len(hidden) + ["tanh"]
-        return cls(numerics.init_mlp(dims, acts, rng))
+def build_action_net(input_dim: int, action_dim: int, hidden: tuple[int, ...],
+                     rng: np.random.Generator) -> numerics.MlpModel:
+    """ReLU hidden layers and a tanh head, so every output lies in [-1, 1], the
+    point mass's action box: the BPR predictor and every continuous policy."""
+    dims = [input_dim, *hidden, action_dim]
+    acts = ["relu"] * len(hidden) + ["tanh"]
+    return numerics.init_mlp(dims, acts, rng)
 
 
 def build_encoder(state_dim: int, repr_dim: int, hidden: tuple[int, ...],
@@ -148,17 +141,17 @@ def bpr_loss(prediction: np.ndarray, action: np.ndarray) -> tuple[float, np.ndar
     return loss, grad
 
 
-def bpr_batch_grads(encoder: EncoderModel, predictor: PredictorModel,
+def bpr_batch_grads(encoder: EncoderModel, predictor: numerics.MlpModel,
                     states: np.ndarray, actions: np.ndarray):
     """One joint forward/backward of the normalized prediction loss. Returns
     (loss, gradient): one vector of the encoder's then the predictor's parameter
-    gradient, the order of share_buffer([encoder.net, predictor.net])."""
+    gradient, the order of share_buffer([encoder.net, predictor])."""
     z, enc_cache = numerics.forward(encoder.net, states)
-    y, pred_cache = numerics.forward(predictor.net, z)
+    y, pred_cache = numerics.forward(predictor, z)
     loss, gy = bpr_loss(y, actions)
-    grad = np.empty(encoder.net.flat.size + predictor.net.flat.size)
+    grad = np.empty(encoder.net.flat.size + predictor.flat.size)
     enc_grad, pred_grad = np.split(grad, [encoder.net.flat.size])
-    _, gz = numerics.backward(predictor.net, pred_cache, gy, out=pred_grad)
+    _, gz = numerics.backward(predictor, pred_cache, gy, out=pred_grad)
     numerics.backward(encoder.net, enc_cache, gz, input_grad=False, out=enc_grad)
     return loss, grad
 
@@ -177,10 +170,10 @@ def pretrain(dataset: OfflineDataset, config: PretrainConfig):
         raise UnusableDatasetError("all actions below MIN_ACTION_NORM")
     rng = np.random.default_rng(config.seed)
     encoder = build_encoder(dataset.state_dim, config.repr_dim, config.encoder_hidden, rng)
-    predictor = PredictorModel.build(config.repr_dim, dataset.action_dim,
-                                     config.predictor_hidden, rng)
+    predictor = build_action_net(config.repr_dim, dataset.action_dim,
+                                 config.predictor_hidden, rng)
     # one buffer, one Adam state and one gradient vector for both nets
-    params = numerics.share_buffer([encoder.net, predictor.net])
+    params = numerics.share_buffer([encoder.net, predictor])
     adam = numerics.AdamState.for_params(params, learning_rate=config.learning_rate)
     trace = np.zeros(config.steps)
     for step in range(config.steps):

@@ -215,8 +215,8 @@ def _train_one_seed(args, dataset, seed, encoder, out):
         agents.write_trace_csv(result.trace + ed_rows, trace_path)
     elif args.task == "gridworld":
         mdp = envs.make_gridworld()
-        behavior_spec = dataset.behavior_tag.partition(":")[2]  # "" for a tag without ':'
-        behavior = _gridworld_behavior(mdp, behavior_spec)
+        if args.probe_bounds:  # the bounds need the true behavior; "" for a tag without ':'
+            behavior = _gridworld_behavior(mdp, dataset.behavior_tag.partition(":")[2])
         if args.algo == "spibb":
             result = agents.train_spibb_tabular(dataset, mdp.n_states, mdp.n_actions, config)
             row["delta_hat"] = result.j_hat_out - result.j_hat_behavior
@@ -239,7 +239,7 @@ def _train_one_seed(args, dataset, seed, encoder, out):
 def _fit_task(args, dataset: envs.OfflineDataset) -> None:
     """Set the discount and check the dataset's dimensions against the task, before
     any gradient step. The gridworld's discount belongs to its MDP; --gamma may only
-    repeat it."""
+    repeat it, and every reward must lie in its [-r_max, r_max]."""
     if args.task == "pointmass":
         args.gamma = agents.AgentConfig.gamma if args.gamma is None else args.gamma
         dims = (envs.PointMassEnv.state_dim, envs.PointMassEnv.action_dim)
@@ -250,6 +250,9 @@ def _fit_task(args, dataset: envs.OfflineDataset) -> None:
                                      f"discount {mdp.discount}")
         args.gamma = mdp.discount
         dims = (mdp.n_states, mdp.n_actions)
+        if np.any(np.abs(dataset.rewards) > mdp.r_max):
+            raise RejectedInputError(f"a reward lies outside the gridworld's "
+                                     f"[-{mdp.r_max:g}, {mdp.r_max:g}]")
     if (dataset.state_dim, dataset.action_dim) != dims:
         raise RejectedInputError(f"{args.task} needs state_dim/action_dim {dims[0]}/{dims[1]}, "
                                  f"the dataset has {dataset.state_dim}/{dataset.action_dim}")
@@ -498,8 +501,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, parser)
-        return args.func(args)
+        # a computed value that matters passes bpr.check_finite, so an overflow
+        # shows as one error line, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            args = _apply_config_file(args, parser)
+            return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -84,12 +84,11 @@ def test_criterion_2_gradient_fidelity():
 
     def smooth_policy(rng, in_dim, out_dim):
         hid = int(rng.integers(3, 9))
-        return agents.PolicyModel(numerics.init_mlp(
-            [in_dim, hid, out_dim], ["tanh", "tanh"], rng))
+        return numerics.init_mlp([in_dim, hid, out_dim], ["tanh", "tanh"], rng)
 
     def smooth_q(rng, in_dim):
         hid = int(rng.integers(3, 9))
-        return agents.QModel(numerics.init_mlp([in_dim, hid, 1], ["tanh", "identity"], rng))
+        return numerics.init_mlp([in_dim, hid, 1], ["tanh", "identity"], rng)
 
     rng = np.random.default_rng(0)
     worst = {"bpr": 0.0, "bc": 0.0, "td3bc_actor": 0.0, "cql_critic": 0.0}
@@ -120,12 +119,12 @@ def test_criterion_2_gradient_fidelity():
         q = smooth_q(rng, sdim + dim)
 
         _, g = agents.bc_loss_and_grads(pol, x, act)
-        flat = pol.net.flat_parameters()
+        flat = pol.flat_parameters()
 
         def bc_at(f, pol=pol, x=x, act=act):
-            m = pol.net.copy()
+            m = pol.copy()
             m.set_flat_parameters(f)
-            return agents.bc_loss_and_grads(agents.PolicyModel(m), x, act)[0]
+            return agents.bc_loss_and_grads(m, x, act)[0]
 
         worst["bc"] = max(worst["bc"], fd_worst(bc_at, flat, g, rng))
 
@@ -133,9 +132,9 @@ def test_criterion_2_gradient_fidelity():
         _, g = agents.td3bc_actor_loss_and_grads(pol, q, x, act, lam)
 
         def td_at(f, pol=pol, q=q, x=x, act=act, lam=lam):
-            m = pol.net.copy()
+            m = pol.copy()
             m.set_flat_parameters(f)
-            return agents.td3bc_actor_loss_and_grads(agents.PolicyModel(m), q, x, act, lam)[0]
+            return agents.td3bc_actor_loss_and_grads(m, q, x, act, lam)[0]
 
         worst["td3bc_actor"] = max(worst["td3bc_actor"], fd_worst(td_at, flat, g, rng))
 
@@ -143,13 +142,12 @@ def test_criterion_2_gradient_fidelity():
         cand = rng.uniform(-1, 1, size=(n, int(rng.integers(2, 6)), dim))
         alpha = float(rng.uniform(0.1, 2.0))
         _, g = agents.cql_critic_loss_and_grads(q, x, act, target, cand, alpha)
-        qflat = q.net.flat_parameters()
+        qflat = q.flat_parameters()
 
         def cql_at(f, q=q, x=x, act=act, target=target, cand=cand, alpha=alpha):
-            m = q.net.copy()
+            m = q.copy()
             m.set_flat_parameters(f)
-            return agents.cql_critic_loss_and_grads(agents.QModel(m), x, act,
-                                                    target, cand, alpha)[0]
+            return agents.cql_critic_loss_and_grads(m, x, act, target, cand, alpha)[0]
 
         worst["cql_critic"] = max(worst["cql_critic"], fd_worst(cql_at, qflat, g, rng))
 

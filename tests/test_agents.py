@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -36,49 +37,41 @@ class TestLossGradients:
         self.x = self.rng.normal(size=(8, 3))
         self.a = np.clip(self.rng.normal(size=(8, 2)), -0.9, 0.9)
 
-    def _policy(self, net=None):
-        return agents.PolicyModel(net) if net is not None else \
-            agents.PolicyModel.build(3, 2, (6,), self.rng)
+    def _policy(self):
+        return bpr.build_action_net(3, 2, (6,), self.rng)
 
     def test_bc_gradients(self):
         pol = self._policy()
-        fd_check_params(
-            lambda m: agents.bc_loss_and_grads(agents.PolicyModel(m), self.x, self.a),
-            pol.net)
+        fd_check_params(lambda m: agents.bc_loss_and_grads(m, self.x, self.a), pol)
 
     def test_td3bc_actor_gradients(self):
         pol = self._policy()
-        q = agents.QModel.build(3, 2, (6,), self.rng)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
         fd_check_params(
-            lambda m: agents.td3bc_actor_loss_and_grads(
-                agents.PolicyModel(m), q, self.x, self.a, lam=1.7),
-            pol.net)
+            lambda m: agents.td3bc_actor_loss_and_grads(m, q, self.x, self.a, lam=1.7), pol)
 
     def test_cql_actor_gradients(self):
         pol = self._policy()
-        q = agents.QModel.build(3, 2, (6,), self.rng)
-        fd_check_params(
-            lambda m: agents.cql_actor_loss_and_grads(agents.PolicyModel(m), q, self.x),
-            pol.net, rel_tol=1e-4)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
+        fd_check_params(lambda m: agents.cql_actor_loss_and_grads(m, q, self.x), pol,
+                        rel_tol=1e-4)
 
     def test_critic_td_gradients(self):
-        q = agents.QModel.build(3, 2, (6,), self.rng)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
         target = self.rng.normal(size=8)
-        fd_check_params(
-            lambda m: agents.critic_td_loss_and_grads(agents.QModel(m), self.x, self.a, target),
-            q.net, rel_tol=1e-4)
+        fd_check_params(lambda m: agents.critic_td_loss_and_grads(m, self.x, self.a, target), q,
+                        rel_tol=1e-4)
 
     def test_cql_critic_gradients(self):
-        q = agents.QModel.build(3, 2, (6,), self.rng)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
         target = self.rng.normal(size=8)
         cand = self.rng.uniform(-1, 1, size=(8, 4, 2))
         fd_check_params(
-            lambda m: agents.cql_critic_loss_and_grads(
-                agents.QModel(m), self.x, self.a, target, cand, alpha=0.8),
-            q.net, rel_tol=1e-4)
+            lambda m: agents.cql_critic_loss_and_grads(m, self.x, self.a, target, cand, alpha=0.8),
+            q, rel_tol=1e-4)
 
     def test_cql_critic_alpha_zero_equals_td(self):
-        q = agents.QModel.build(3, 2, (6,), self.rng)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
         target = self.rng.normal(size=8)
         cand = self.rng.uniform(-1, 1, size=(8, 4, 2))
         l1, g1 = agents.critic_td_loss_and_grads(q, self.x, self.a, target)
@@ -88,7 +81,7 @@ class TestLossGradients:
 
     def test_td3bc_lambda_zero_equals_bc(self):
         pol = self._policy()
-        q = agents.QModel.build(3, 2, (6,), self.rng)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
         l_bc, g_bc = agents.bc_loss_and_grads(pol, self.x, self.a)
         l_td, g_td = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, lam=0.0)
         assert abs(l_bc - l_td) < 1e-10
@@ -96,9 +89,9 @@ class TestLossGradients:
 
     def test_td3bc_lambda_from_the_actor_forward_equals_the_two_forward_lambda(self):
         pol = self._policy()
-        q = agents.QModel.build(3, 2, (6,), self.rng)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
         # the trainer's former lambda: a separate policy and Q1 forward pass
-        qv = q.value(self.x, pol.act(self.x))
+        qv = agents.q_value(q, self.x, numerics.forward(pol, self.x)[0])
         lam = 2.5 / max(np.mean(np.abs(qv)), 1e-8)
         l_own, g_own = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a)
         l_fix, g_fix = agents.td3bc_actor_loss_and_grads(pol, q, self.x, self.a, lam=lam)
@@ -111,26 +104,26 @@ class TestLossGradients:
 
     def test_cql_actor_reuses_a_given_policy_forward(self):
         pol = self._policy()
-        q = agents.QModel.build(3, 2, (6,), self.rng)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
         l1, g1 = agents.cql_actor_loss_and_grads(pol, q, self.x)
         l2, g2 = agents.cql_actor_loss_and_grads(pol, q, self.x,
-                                                 numerics.forward(pol.net, self.x))
+                                                 numerics.forward(pol, self.x))
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
 
     def test_cql_penalty_pushes_down_candidates(self):
         # minimizing the penalty raises Q at the data action, lowers elsewhere
-        q = agents.QModel.build(3, 2, (6,), self.rng)
+        q = agents.build_critic(3, 2, (6,), self.rng, "relu")
         cand = self.rng.uniform(-1, 1, size=(8, 6, 2))
-        target = q.value(self.x, self.a)  # zero TD term
-        adam = numerics.AdamState.for_params(q.net.flat, learning_rate=1e-2)
-        before_data = q.value(self.x, self.a).mean()
-        before_cand = q.value(np.repeat(self.x, 6, axis=0), cand.reshape(-1, 2)).mean()
+        target = agents.q_value(q, self.x, self.a)  # zero TD term
+        adam = numerics.AdamState.for_params(q.flat, learning_rate=1e-2)
+        before_data = agents.q_value(q, self.x, self.a).mean()
+        before_cand = agents.q_value(q, np.repeat(self.x, 6, axis=0), cand.reshape(-1, 2)).mean()
         for _ in range(200):
             _, grad = agents.cql_critic_loss_and_grads(q, self.x, self.a, target, cand, alpha=1.0)
-            numerics.adam_step(adam, q.net.flat, grad)
-        after_data = q.value(self.x, self.a).mean()
-        after_cand = q.value(np.repeat(self.x, 6, axis=0), cand.reshape(-1, 2)).mean()
+            numerics.adam_step(adam, q.flat, grad)
+        after_data = agents.q_value(q, self.x, self.a).mean()
+        after_cand = agents.q_value(q, np.repeat(self.x, 6, axis=0), cand.reshape(-1, 2)).mean()
         assert (after_data - after_cand) > (before_data - before_cand) + 0.1
 
 
@@ -146,22 +139,22 @@ def test_soft_update_is_bitwise_the_out_of_place_formula():
 class TestFeatures:
     def test_reconstructs_q_value(self):
         rng = np.random.default_rng(0)
-        q = agents.QModel.build(4, 2, (8, 8), rng)
+        q = agents.build_critic(4, 2, (8, 8), rng, "relu")
         x = rng.normal(size=(16, 4))
         a = rng.normal(size=(16, 2))
         psi = agents.extract_features(q, x, a)
-        last = q.net.layers[-1]
+        last = q.layers[-1]
         recon = psi @ last.weight.T + last.bias
-        np.testing.assert_allclose(recon[:, 0], q.value(x, a), atol=1e-12)
+        np.testing.assert_allclose(recon[:, 0], agents.q_value(q, x, a), atol=1e-12)
 
     def test_feature_dim(self):
         rng = np.random.default_rng(1)
-        q = agents.QModel.build(4, 2, (8, 5), rng)
-        assert q.feature_dim == 5
+        q = agents.build_critic(4, 2, (8, 5), rng, "relu")
+        assert agents.extract_features(q, np.zeros((3, 4)), np.zeros((3, 2))).shape[1] == 5
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(2)
-        q = agents.QModel.build(2, 1, (4,), rng)
+        q = agents.build_critic(2, 1, (4,), rng, "relu")
         with pytest.raises(RejectedInputError):
             agents.extract_features(q, np.zeros((0, 2)), np.zeros((0, 1)))
 
@@ -197,7 +190,7 @@ class TestBehaviorCloning:
                                  eval_episodes=2)
         res = agents.train_bc(ds, cfg, env=envs.PointMassEnv())
         s, a, _, _, _ = ds.arrays()
-        pred = res.policy.act(s[:200])
+        pred = numerics.forward(res.policy, s[:200])[0]
         mse = float(np.mean(np.sum((pred - a[:200]) ** 2, axis=1)))
         assert mse < 0.05
         # one eval row after every 100 done steps, as the other trainers write
@@ -215,7 +208,7 @@ class TestBehaviorCloning:
         cfg = agents.AgentConfig(algorithm="bc", use_encoder=True, gradient_steps=50,
                                  batch_size=64, hidden=(16,))
         res = agents.train_bc(ds, cfg, enc)
-        assert res.policy.net.input_dim == 8
+        assert res.policy.input_dim == 8
 
     def test_encoder_missing_or_probe_without_critic_rejected(self):
         ds = pm_dataset(100)
@@ -273,8 +266,7 @@ class TestTd3bc:
         cfg = agents.AgentConfig(algorithm="td3bc", gradient_steps=30, batch_size=32, hidden=(8,))
         r1 = agents.train_td3bc(ds, cfg)
         r2 = agents.train_td3bc(ds, cfg)
-        np.testing.assert_array_equal(r1.policy.net.flat_parameters(),
-                                      r2.policy.net.flat_parameters())
+        np.testing.assert_array_equal(r1.policy.flat_parameters(), r2.policy.flat_parameters())
 
     def test_probe_snapshots(self):
         ds = pm_dataset(300)
@@ -289,7 +281,7 @@ class TestTd3bc:
         ds = pm_dataset(300)
         cfg = agents.AgentConfig(algorithm="td3bc", gradient_steps=2, batch_size=32, hidden=(8,))
         monkeypatch.setattr(agents, "extract_features",
-                            lambda q, x, a: np.full((len(x), q.feature_dim), np.nan))
+                            lambda q, x, a: np.full((len(x), 8), np.nan))
         from bprlab.analysis import make_probe_batch
         with pytest.raises(TrainingDivergenceError, match="critic features at step 0"):
             agents.train_td3bc(ds, cfg, probe_batch=make_probe_batch(ds, 8), probe_every=1)
@@ -605,3 +597,13 @@ class TestConfigValidation:
             agents.AgentConfig(**{field: value})
         agents.AgentConfig(cql_alpha=0.0, co_train_encoder_lr=1e-3, gamma=1.0, n_wedge=np.inf)
         agents.AgentConfig(gamma=0.0, n_wedge=0.0)
+
+    @pytest.mark.parametrize("trainer", [agents.train_td3bc, agents.train_cql_continuous])
+    def test_critic_without_a_hidden_layer_rejected(self, trainer):
+        # a critic's features are its last hidden layer; a policy needs none
+        ds = pm_dataset(100)
+        cfg = agents.AgentConfig(hidden=(), gradient_steps=2, batch_size=16)
+        with pytest.raises(RejectedInputError, match="hidden layer"):
+            trainer(ds, cfg)
+        res = agents.train_bc(ds, dataclasses.replace(cfg, algorithm="bc"))
+        assert len(res.policy.layers) == 1 and res.policy.layers[0].activation == "tanh"

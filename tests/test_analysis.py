@@ -170,10 +170,10 @@ class TestEpsBeta:
         ds = envs.generate_dataset(env, envs.pointmass_behavior("expert", env), 200, 0)
         rng = np.random.default_rng(0)
         enc = bpr.build_encoder(4, 6, (8,), rng)
-        pred = bpr.PredictorModel.build(6, 2, (8,), rng)
+        pred = bpr.build_action_net(6, 2, (8,), rng)
         val = analysis.eps_beta_empirical_continuous(ds, enc, pred)
         s, a, _, _, _ = ds.arrays()
-        y, _ = numerics.forward(pred.net, enc.encode(s))
+        y, _ = numerics.forward(pred, enc.encode(s))
         want = float(np.mean(np.linalg.norm(y - a, axis=1)))
         assert abs(val - want) < 1e-12
 

@@ -105,7 +105,7 @@ class TestLossGradients:
     def test_end_to_end_network_gradient(self):
         rng = np.random.default_rng(1)
         enc = bpr.build_encoder(4, 3, (5,), rng)
-        pred = bpr.PredictorModel.build(3, 2, (5,), rng)
+        pred = bpr.build_action_net(3, 2, (5,), rng)
         s = rng.normal(size=(6, 4))
         a = rng.normal(size=(6, 2)) + 0.3
         _, grad = bpr.bpr_batch_grads(enc, pred, s, a)
@@ -120,7 +120,7 @@ class TestLossGradients:
                 e2 = bpr.EncoderModel(enc.net.copy())
                 e2.net.set_flat_parameters(f)
                 z, _ = numerics.forward(e2.net, s)
-                y, _ = numerics.forward(pred.net, z)
+                y, _ = numerics.forward(pred, z)
                 return bpr.bpr_loss(y, a)[0]
             fd = (loss_at(flat[i] + h) - loss_at(flat[i] - h)) / (2 * h)
             assert abs(fd - analytic[i]) < 1e-5 * max(1.0, abs(fd))
@@ -198,9 +198,9 @@ class TestPretrain:
     def test_encoder_and_predictor_share_one_buffer_and_freeze_covers_the_encoder(self):
         ds = small_dataset(100)
         enc, _, pred, _ = bpr.pretrain(ds, bpr.PretrainConfig(steps=5, **self.CFG))
-        assert enc.net.flat.base is pred.net.flat.base is not None
+        assert enc.net.flat.base is pred.flat.base is not None
         assert not any(p.flags.writeable for p in (enc.net.flat, *enc.net.parameters()))
-        assert pred.net.flat.flags.writeable
+        assert pred.flat.flags.writeable
 
     def test_checkpoint_bytes_are_pinned(self):
         # digests of the release that kept separate encoder and predictor Adam
@@ -208,7 +208,7 @@ class TestPretrain:
         ds = small_dataset(400)
         enc, trace, pred, _ = bpr.pretrain(ds, bpr.PretrainConfig(steps=200, seed=5, **self.CFG))
         digests = [hashlib.sha256(b).hexdigest() for b in (
-            numerics.checkpoint_bytes(enc.net), trace.tobytes(), pred.net.flat.tobytes())]
+            numerics.checkpoint_bytes(enc.net), trace.tobytes(), pred.flat.tobytes())]
         assert digests == [
             "4220b5b4519d2fd385f3e392172141f12c6506870a24d3063941dd045432890d",
             "0836ca542169833a97f3cb4c7ea83bb80b602fb111821e37e9f1b923df99fa46",

@@ -123,7 +123,7 @@ class TestPretrain:
         assert "learning_rate must be finite" in capsys.readouterr().err
         assert not os.path.exists("encoder.ckpt")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging net overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow must not warn
     def test_divergence_after_the_first_step_exits_2(self, workdir, capsys):
         run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
         capsys.readouterr()
@@ -378,7 +378,7 @@ def test_non_finite_encoder_checkpoint_is_rejected_at_load(workdir, capsys):
     assert capsys.readouterr().err == "error: checkpoint layer 0 has non-finite weights or biases\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging net overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow must not warn
 def test_diverging_run_exits_2_and_writes_no_summary(workdir, capsys):
     # parameters near 1e300 stay finite, but the policy's matmul overflows to inf - inf,
     # and its NaN action reaches the final evaluation's return
@@ -391,7 +391,7 @@ def test_diverging_run_exits_2_and_writes_no_summary(workdir, capsys):
     assert not os.path.exists("bc-summary.json")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram matmul overflows at 1e80
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow must not warn
 @pytest.mark.parametrize("rate, code", [("1e80", 2), ("1e70", EXIT_OK)])
 def test_probe_whose_feature_gram_overflows_is_a_divergence(workdir, capsys, rate, code):
     # the probed critic features are finite at both rates; at 1e80 their Gram matrix is not
@@ -443,8 +443,9 @@ def test_dataset_that_does_not_fit_the_task_is_rejected_before_training(
     if tag is not None:
         dataset = dataclasses.replace(dataset, behavior_tag=tag)
     envs.save_dataset(dataset, "d.jsonl")
+    # --probe-bounds: only the bounds read the tag's behavior
     assert run(["train", "--task", task, "--dataset", "d.jsonl", "--algo", algo,
-                "--out", "."]) == EXIT_USAGE
+                "--probe-bounds", "--out", "."]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -464,8 +465,8 @@ def test_tabular_row_that_is_not_one_hot_is_usage_error(workdir, capsys):
 @pytest.mark.parametrize("argv, tag", [
     (["gen-data", "--task", "gridworld", "--behavior", "eps_greedy:x", "--n", "20"], None),
     (["gen-data", "--task", "pointmass", "--behavior", "mixture:expert", "--n", "20"], None),
-    (["train", "--task", "gridworld", "--dataset", "d.jsonl", "--algo", "spibb"],
-     "gridworld:eps_greedy:x"),
+    (["train", "--task", "gridworld", "--dataset", "d.jsonl", "--algo", "spibb",
+      "--probe-bounds"], "gridworld:eps_greedy:x"),
 ], ids=["eps-not-a-number", "mixture-without-weight", "dataset-tag-eps-not-a-number"])
 def test_bad_behavior_spec_is_usage_error(workdir, capsys, argv, tag):
     if tag is not None:
@@ -473,6 +474,33 @@ def test_bad_behavior_spec_is_usage_error(workdir, capsys, argv, tag):
         envs.save_dataset(dataclasses.replace(dataset, behavior_tag=tag), "d.jsonl")
     assert run([*argv, "--out", "."]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("algo", ["spibb", "cql"])
+def test_dataset_tag_is_read_only_by_the_bounds(workdir, capsys, algo):
+    # generate_dataset tags a tabular dataset "tabular", which names no gridworld behavior
+    mdp = envs.make_gridworld()
+    policy = envs.epsilon_greedy_policy(envs.value_iteration(mdp)[2], 0.3)
+    envs.save_dataset(envs.generate_dataset(mdp, policy, 300, 0), "d.jsonl")
+    argv = ["train", "--task", "gridworld", "--dataset", "d.jsonl", "--algo", algo,
+            "--gradient-steps", "20", "--out", "."]
+    assert run(argv) == EXIT_OK
+    assert run([*argv, "--probe-bounds"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown gridworld behavior ''\n"
+
+
+@pytest.mark.parametrize("algo", ["spibb", "cql"])
+def test_reward_outside_the_gridworld_range_is_usage_error(workdir, capsys, algo):
+    # a huge finite reward once overflowed the Bellman solve or the CQL loss (exit 2)
+    lines = (DATA_DIR / "gridworld-eps0.3-50.jsonl").read_text().splitlines()
+    row = json.loads(lines[5])
+    row["r"] = 1e308
+    lines[5] = json.dumps(row)
+    (workdir / "d.jsonl").write_text("\n".join(lines) + "\n")
+    assert run(["train", "--task", "gridworld", "--dataset", "d.jsonl", "--algo", algo,
+                "--probe-bounds", "--out", "."]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: a reward lies outside the gridworld's [-1, 1]\n"
+    assert not os.path.exists(f"{algo}-summary.json")
 
 
 def test_dataset_path_that_is_a_directory_is_usage_error(workdir, capsys):
@@ -595,7 +623,7 @@ def pointmass_200(tmp_path_factory):
     return out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan values overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow must not warn
 @settings(max_examples=100, deadline=None)
 @given(argv=_fuzzed_argv())
 @example(argv=["train", "--task", "pointmass", "--algo", "bc", "--gradient-steps", "3",
@@ -672,7 +700,7 @@ def _mutated_run(draw):
     return name, bytes(data), argv
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # mutated values may overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow must not warn
 @settings(max_examples=60, deadline=None)
 @given(case=_mutated_run())
 # a NUL byte in a path-forming string once escaped os.replace as a raw ValueError
