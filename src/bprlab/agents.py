@@ -503,20 +503,26 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
     re-inflating through a hard max over penalized entries.
 
     The target table changes once per cql_target_every steps, so each such
-    window draws its minibatch indices in one call and builds all of its TD
-    targets from one per-state bootstrap value. Each step computes the
-    penalty's logsumexp and softmax once per state and sums the TD, softmax
-    and -alpha/n gradient terms with one bincount, cell by cell in the same
-    order as per-sample accumulation."""
+    window draws its minibatch indices in one call and gathers all of its TD
+    targets and the bincount index rows of all its steps at once, from
+    per-row tables built once per run. Each step computes the penalty's
+    logsumexp and softmax once per state and sums the TD, softmax and
+    -alpha/n gradient terms with one bincount, cell by cell in the same order
+    as per-sample accumulation."""
     s, a, r, s2, d = tabular_indices(dataset)
     rng = np.random.default_rng(config.seed)
     temp, alpha, every = CQL_TEMP, config.cql_alpha, config.cql_target_every
     n = min(config.batch_size, len(s))
-    cols = np.arange(n_actions)
+    # per dataset row: its cell, its state's softmax cells and its bootstrap factor
+    row_cells = s * n_actions + a
+    row_soft_cells = s[:, None] * n_actions + np.arange(n_actions)
+    row_discount = config.gamma * (1.0 - d.astype(np.float64))
     # gradient terms in accumulation order: n TD terms, n softmax rows, n -alpha/n terms
     weights = np.full(n * (n_actions + 2) if alpha > 0.0 else n, -alpha / n)
+    w_td, w_soft = weights[:n], weights[n:-n].reshape(-1, n_actions)  # w_soft: (n, A), or empty
     q = np.zeros((n_states, n_actions))
-    adam = numerics.AdamState.for_params(q, config.learning_rate)
+    q_flat = q.ravel()  # a view: Adam updates q through it
+    adam = numerics.AdamState.for_params(q_flat, config.learning_rate)
     trace = []
     for start in range(0, config.gradient_steps, every):
         if alpha > 0.0:
@@ -527,27 +533,28 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
         else:
             v_t = q.max(axis=1)
         idx = rng.integers(0, len(s), size=(min(every, config.gradient_steps - start), n))
-        targets = r[idx] + config.gamma * (1.0 - d[idx].astype(np.float64)) * v_t[s2[idx]]
-        states, actions = s[idx], a[idx]
-        cells = states * n_actions + actions
-        for step, si, ai, cell, target in zip(range(start, config.gradient_steps),
-                                              states, actions, cells, targets):
-            q_sa = q[si, ai]
+        targets = r.take(idx) + row_discount.take(idx) * v_t.take(s2.take(idx))
+        states, cells = s.take(idx), row_cells.take(idx)
+        # each step's bincount indices: its cells, its states' softmax cells, its cells
+        flats = cells if alpha == 0.0 else np.concatenate(
+            (cells, row_soft_cells.take(idx, axis=0).reshape(len(idx), -1), cells), axis=1)
+        for step, si, cell, target, flat in zip(range(start, config.gradient_steps),
+                                                states, cells, targets, flats):
+            q_sa = q_flat.take(cell)
             td = q_sa - target
-            loss = float(np.mean(td * td))
-            weights[:n] = 2.0 * td / n
-            flat = cell
+            np.multiply(2.0, td, out=w_td)
+            w_td /= n
+            # np.add.reduce(x) / n is np.mean(x) without its Python wrapper
+            loss = float(np.add.reduce(td * td) / n)
             if alpha > 0.0:
                 rows = q / temp
                 mx = rows.max(axis=1, keepdims=True)
-                lse = temp * (mx[:, 0] + np.log(np.sum(np.exp(rows - mx), axis=1)))
+                lse = temp * (mx[:, 0] + np.log(np.add.reduce(np.exp(rows - mx), axis=1)))
                 soft = np.exp(rows - lse[:, None] / temp)
-                loss += float(alpha * np.mean(lse[si] - q_sa))
-                weights[n:-n] = (alpha * soft / n)[si].ravel()
-                flat = np.concatenate((cell, (si[:, None] * n_actions + cols).ravel(), cell))
+                loss += float(alpha * (np.add.reduce(lse.take(si) - q_sa) / n))
+                (alpha * soft / n).take(si, axis=0, out=w_soft)
             check_finite(loss, f"tabular cql loss at step {step}")
-            grad = np.bincount(flat, weights, minlength=q.size).reshape(q.shape)
-            numerics.adam_step(adam, q, grad)
+            numerics.adam_step(adam, q_flat, np.bincount(flat, weights, minlength=q.size))
             if config.eval_every and (step + 1) % config.eval_every == 0:
                 trace.append({"step": step + 1, "critic_loss": loss})
     greedy = TabularPolicy.deterministic(q.argmax(axis=1), n_actions)

@@ -236,10 +236,16 @@ def _train_one_seed(args, dataset, seed, encoder, out):
     return row
 
 
+# a point-mass reward may differ from -||s2[:2] - goal|| by at most this; generated
+# files match to within 2.3e-16
+POINTMASS_REWARD_TOL = 1e-9
+
+
 def _fit_task(args, dataset: envs.OfflineDataset) -> None:
-    """Set the discount and check the dataset's dimensions against the task, before
-    any gradient step. The gridworld's discount belongs to its MDP; --gamma may only
-    repeat it, and every reward must lie in its [-r_max, r_max]."""
+    """Set the discount and check the dataset against the task, before any
+    gradient step. The gridworld's discount belongs to its MDP; --gamma may only
+    repeat it, and every reward must lie in its [-r_max, r_max]. A point-mass
+    reward must be the task's reward for its next state."""
     if args.task == "pointmass":
         args.gamma = agents.AgentConfig.gamma if args.gamma is None else args.gamma
         dims = (envs.PointMassEnv.state_dim, envs.PointMassEnv.action_dim)
@@ -256,6 +262,14 @@ def _fit_task(args, dataset: envs.OfflineDataset) -> None:
     if (dataset.state_dim, dataset.action_dim) != dims:
         raise RejectedInputError(f"{args.task} needs state_dim/action_dim {dims[0]}/{dims[1]}, "
                                  f"the dataset has {dataset.state_dim}/{dataset.action_dim}")
+    if args.task == "pointmass":
+        _, _, r, s2, _ = dataset.arrays()
+        task_r = -np.linalg.norm(s2[:, :2] - envs.PointMassEnv().goal, axis=1)
+        bad = np.flatnonzero(np.abs(r - task_r) > POINTMASS_REWARD_TOL)
+        if bad.size:
+            raise RejectedInputError(f"the reward of row {bad[0]}, {float(r[bad[0]])!r}, is not "
+                                     f"the point-mass reward {float(task_r[bad[0]])!r} of its "
+                                     "next state")
 
 
 def cmd_train(args) -> int:

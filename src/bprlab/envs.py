@@ -110,6 +110,8 @@ class OfflineDataset:
     next_states: np.ndarray
     dones: np.ndarray
     behavior_tag: str = ""
+    # tabular_indices' decoded columns, kept after the first decode that succeeds
+    _tabular: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -253,17 +255,22 @@ def _tabular_dataset(n_states: int, n_actions: int, s, a, r, s2, d,
 
 
 def tabular_indices(dataset: OfflineDataset):
-    """Decode one-hot states/actions back to integer indices. Every state,
-    action and next-state row must hold exactly one 1 and zeros elsewhere."""
-    s, a, r, s2, d = dataset.arrays()
-    indices = []
-    for name, col in (("state", s), ("action", a), ("next_state", s2)):
-        idx = col.argmax(axis=1)
-        bad = np.flatnonzero((col != np.eye(col.shape[1])[idx]).any(axis=1))
-        if bad.size:
-            raise RejectedInputError(f"{name} of row {bad[0]} is not one-hot: {col[bad[0]].tolist()}")
-        indices.append(idx)
-    return indices[0], indices[1], r, indices[2], d
+    """(states, actions, rewards, next_states, dones) with one-hot states and
+    actions decoded to integer indices. Every state, action and next-state row
+    must hold exactly one 1 and zeros elsewhere. A dataset is decoded and
+    checked once; later calls return the same read-only arrays."""
+    if dataset._tabular is None:
+        s, a, r, s2, d = dataset.arrays()
+        indices = []
+        for name, col in (("state", s), ("action", a), ("next_state", s2)):
+            idx = col.argmax(axis=1)
+            bad = np.flatnonzero((col != np.eye(col.shape[1])[idx]).any(axis=1))
+            if bad.size:
+                raise RejectedInputError(f"{name} of row {bad[0]} is not one-hot: {col[bad[0]].tolist()}")
+            idx.setflags(write=False)
+            indices.append(idx)
+        dataset._tabular = (indices[0], indices[1], r, indices[2], d)
+    return dataset._tabular
 
 
 def evaluate_policy_exact(mdp: TabularMDP, policy: TabularPolicy) -> tuple[np.ndarray, float]:

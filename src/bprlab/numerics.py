@@ -258,6 +258,11 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 3e-4
+    # two scratch arrays shaped like the moments, so a step allocates nothing
+    _scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
     @classmethod
     def for_params(cls, params: np.ndarray, learning_rate: float = 3e-4):
@@ -269,21 +274,25 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> np.ndar
     buffer, or any one parameter array) and returns params."""
     if grad.shape != params.shape or state.first_moment.shape != params.shape:
         raise RejectedInputError("params/grad/state shape mismatch")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         i = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise TrainingDivergenceError(f"non-finite gradient at index {i}")
     check_writable([params])
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
+    step, denom = state._scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+    m += step
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
+    np.multiply(1.0 - ADAM_BETA2, grad, out=step)
+    step *= grad
+    v += step
     # params -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order of operations
-    step = m / (1.0 - ADAM_BETA1**t)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
     step *= state.learning_rate
-    denom = v / (1.0 - ADAM_BETA2**t)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom

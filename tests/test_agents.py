@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bprlab import agents, bpr, envs, numerics
 from bprlab.errors import ContractViolationError, RejectedInputError, TrainingDivergenceError
@@ -477,6 +480,7 @@ class TestTabularCqlMatchesPerSampleLoop:
     """Per-window targets, per-state penalty and one bincount reorder no sum."""
 
     @staticmethod
+    @functools.cache
     def gridworld_data():
         mdp = envs.make_gridworld()
         _, _, greedy = envs.value_iteration(mdp)
@@ -484,6 +488,7 @@ class TestTabularCqlMatchesPerSampleLoop:
         return ds, (25, 4)
 
     @staticmethod
+    @functools.cache
     def counterexample_data():
         _, ds, _ = envs.build_counterexample()
         return ds, (3, 2)
@@ -501,6 +506,23 @@ class TestTabularCqlMatchesPerSampleLoop:
         assert res.q.tobytes() == q_ref.tobytes()
         greedy = envs.TabularPolicy.deterministic(q_ref.argmax(axis=1), shape[1])
         assert res.policy.probs.tobytes() == greedy.probs.tobytes()
+        assert res.trace == trace_ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.sampled_from(["gridworld_data", "counterexample_data"]),
+           seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 300),
+           alpha=st.sampled_from([0.0, 0.5, 1.0, 3.0]), target_every=st.integers(1, 50),
+           steps=st.integers(1, 60), eval_every=st.integers(0, 61))
+    def test_bitwise_equal_on_drawn_settings(self, data, seed, batch_size, alpha, target_every,
+                                             steps, eval_every):
+        ds, shape = getattr(self, data)()
+        cfg = agents.AgentConfig(algorithm="cql", gamma=0.95, cql_alpha=alpha,
+                                 batch_size=batch_size, cql_target_every=target_every,
+                                 gradient_steps=steps, learning_rate=1e-2,
+                                 eval_every=eval_every, seed=seed)
+        res = agents.train_cql_tabular(ds, *shape, cfg)
+        q_ref, trace_ref = reference_cql_tabular(ds, *shape, cfg)
+        assert res.q.tobytes() == q_ref.tobytes()
         assert res.trace == trace_ref
 
     def test_one_ulp_in_the_targets_breaks_equality(self):

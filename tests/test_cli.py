@@ -503,6 +503,31 @@ def test_reward_outside_the_gridworld_range_is_usage_error(workdir, capsys, algo
     assert not os.path.exists(f"{algo}-summary.json")
 
 
+@pytest.mark.parametrize("algo", ["bc", "td3bc", "cql"])
+def test_reward_that_is_not_the_pointmass_reward_is_usage_error(workdir, capsys, algo):
+    # a huge reward once diverged TD3+BC and CQL (exit 2) and trained BC (exit 0)
+    lines = (DATA_DIR / "pointmass-mixture-20.jsonl").read_text().splitlines()
+    row = json.loads(lines[5])
+    row["r"] = 1e308
+    lines[5] = json.dumps(row)
+    (workdir / "d.jsonl").write_text("\n".join(lines) + "\n")
+    assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", algo,
+                "--gradient-steps", "5", "--batch-size", "8", "--hidden", "8",
+                "--eval-every", "0", "--out", "."]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: the reward of row 4, 1e+308, is not "
+                                              "the point-mass reward")
+    assert not os.path.exists(f"{algo}-summary.json")
+
+
+def test_pointmass_rewards_within_the_tolerance_are_accepted(workdir):
+    dataset = envs.load_dataset(str(DATA_DIR / "pointmass-mixture-20.jsonl"))
+    rewards = dataset.rewards + 0.5 * cli.POINTMASS_REWARD_TOL
+    envs.save_dataset(dataclasses.replace(dataset, rewards=rewards), "d.jsonl")
+    assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "bc",
+                "--gradient-steps", "2", "--batch-size", "8", "--hidden", "8",
+                "--eval-every", "0", "--out", "."]) == EXIT_OK
+
+
 def test_dataset_path_that_is_a_directory_is_usage_error(workdir, capsys):
     (workdir / "d.jsonl").mkdir()
     assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "bc",

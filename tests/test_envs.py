@@ -761,6 +761,39 @@ class TestValidation:
         with pytest.raises(RejectedInputError, match="row 4 is not one-hot"):
             envs.tabular_indices(envs.OfflineDataset(3, 2, *columns))
 
+    def test_a_dataset_is_decoded_once_into_read_only_columns(self):
+        _, dataset, _ = envs.build_counterexample()
+        first = envs.tabular_indices(dataset)
+        second = envs.tabular_indices(dataset)
+        assert all(x is y for x, y in zip(first, second))
+        assert not any(col.flags.writeable for col in first)
+        s, a, r, s2, d = first
+        assert s.tolist() == dataset.states.argmax(axis=1).tolist()
+        assert s2.tolist() == dataset.next_states.argmax(axis=1).tolist()
+        assert a.tolist() == dataset.actions.argmax(axis=1).tolist()
+        assert r is dataset.rewards and d is dataset.dones
+
+    def test_a_failed_decode_raises_again_on_every_call(self):
+        _, dataset, _ = envs.build_counterexample()
+        columns = [np.array(col) for col in dataset.arrays()]
+        columns[1][2] = [0.5, 0.5]
+        bad = envs.OfflineDataset(3, 2, *columns)
+        for _ in range(3):
+            with pytest.raises(RejectedInputError, match="action of row 2 is not one-hot"):
+                envs.tabular_indices(bad)
+
+    def test_replace_decodes_afresh(self):
+        _, dataset, _ = envs.build_counterexample()
+        s, a, _, _, _ = envs.tabular_indices(dataset)
+        flipped = dataclasses.replace(dataset, actions=dataset.actions[:, ::-1])
+        s_new, a_new, _, _, _ = envs.tabular_indices(flipped)
+        assert s_new is not s and s_new.tolist() == s.tolist()
+        assert a_new.tolist() == (1 - a).tolist()
+        columns = [np.array(col) for col in dataset.arrays()]
+        columns[0][0] = 0.0
+        with pytest.raises(RejectedInputError, match="state of row 0 is not one-hot"):
+            envs.tabular_indices(dataclasses.replace(dataset, states=columns[0]))
+
     def test_bad_transition_rows_rejected(self):
         with pytest.raises(RejectedInputError):
             envs.TabularMDP(2, 1, np.zeros((2, 1, 2)), np.zeros((2, 1)),

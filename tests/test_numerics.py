@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,27 @@ class TestInPlaceAdam:
             v = b2 * v + (1.0 - b2) * g * g
             ref = ref - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
             assert params.tobytes() == ref.tobytes()
+
+    def test_a_step_allocates_less_than_one_parameter_array(self):
+        # the out-of-place formula held two temporaries of the parameters' size
+        params = np.random.default_rng(0).normal(size=100_000)
+        state = numerics.AdamState.for_params(params)
+        grad = np.random.default_rng(1).normal(size=params.size)
+        tracemalloc.start()
+        try:
+            numerics.adam_step(state, params, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes
+
+    def test_state_built_from_moments_gets_its_scratch(self):
+        m, v = np.zeros(3), np.zeros(3)
+        state = numerics.AdamState(m, v, learning_rate=0.1)
+        p = np.ones(3)
+        numerics.adam_step(state, p, np.ones(3))
+        assert state.first_moment is m and state.second_moment is v
+        np.testing.assert_allclose(p, 0.9, atol=1e-6)
 
     def test_read_only_parameters_rejected_before_any_state_changes(self):
         p = np.zeros(3)
