@@ -258,8 +258,8 @@ def _encoder_inputs(config: AgentConfig, encoder: EncoderModel | None, state_dim
 
 def _rollout_policy(policy: MlpModel, encoder: EncoderModel | None, use_encoder: bool):
     def act(state):
-        x = encoder.encode(state) if use_encoder else state
-        return numerics.forward(policy, x)[0]
+        x = state[None, :]
+        return numerics.forward(policy, encoder.encode(x) if use_encoder else x)[0][0]
     return act
 
 

@@ -78,18 +78,18 @@ class EncoderModel:
     def repr_dim(self) -> int:
         return self.net.output_dim
 
-    def encode(self, state: np.ndarray) -> np.ndarray:
-        """The representation of one state or of a batch of rows. A batch of more
-        than ROW_BLOCK rows runs in near-equal blocks (envs.row_blocks), each
-        writing its rows of one output array in place, so the hidden activations
-        it holds at once are those of one block; every output byte equals that of
-        a one-pass forward."""
-        blocks = row_blocks(len(state)) if np.ndim(state) == 2 else []
+    def encode(self, states: np.ndarray) -> np.ndarray:
+        """The representation of an (n, state_dim) batch. A batch of more than
+        ROW_BLOCK rows runs in near-equal blocks (envs.row_blocks), each writing
+        its rows of one output array in place, so the hidden activations it holds
+        at once are those of one block; every output byte equals that of a
+        one-pass forward."""
+        blocks = row_blocks(len(states))
         if len(blocks) < 2:
-            return numerics.forward(self.net, state)[0]
-        out = np.empty((len(state), self.repr_dim))
+            return numerics.forward(self.net, states)[0]
+        out = np.empty((len(states), self.repr_dim))
         for b in blocks:
-            numerics.forward(self.net, state[b], out=out[b])
+            numerics.forward(self.net, states[b], out=out[b])
         return out
 
     def param_hash(self) -> str:
@@ -118,27 +118,23 @@ def build_encoder(state_dim: int, repr_dim: int, hidden: tuple[int, ...],
 def bpr_loss(prediction: np.ndarray, action: np.ndarray) -> tuple[float, np.ndarray]:
     """||y_hat - a_hat||^2 with both arguments l2-normalized; the action is a
     constant target, so the gradient only flows through the prediction's
-    normalization Jacobian. Works on single vectors or (n, k) batches, where
-    the batch loss is the per-sample mean."""
+    normalization Jacobian. Takes (n, k) batches; the loss is the per-sample
+    mean."""
     y = np.asarray(prediction, dtype=np.float64)
     a = np.asarray(action, dtype=np.float64)
-    if y.shape != a.shape:
-        raise RejectedInputError("prediction/action shape mismatch")
-    single = y.ndim == 1
-    ab = a[None, :] if single else a
-    norms = np.linalg.norm(ab, axis=1)
+    if y.shape != a.shape or y.ndim != 2:
+        raise RejectedInputError(f"prediction and action shapes {y.shape}, {a.shape} are not "
+                                 "one (n, k) batch shape")
+    norms = np.linalg.norm(a, axis=1)
     if np.any(norms < MIN_ACTION_NORM):
         raise ContractViolationError("action norm below MIN_ACTION_NORM reached the loss")
-    a_bar = ab / norms[:, None]
+    a_bar = a / norms[:, None]
     y_bar, back = numerics.l2_normalize_with_grad(y)
-    yb = y_bar[None, :] if single else y_bar
-    diff = yb - a_bar
+    diff = y_bar - a_bar
     per_sample = np.sum(diff * diff, axis=1)
     n = per_sample.shape[0]
     loss = float(per_sample.mean())
-    g_ybar = 2.0 * diff / n
-    grad = back(g_ybar[0] if single else g_ybar)
-    return loss, grad
+    return loss, back(2.0 * diff / n)
 
 
 def bpr_batch_grads(encoder: EncoderModel, predictor: numerics.MlpModel,

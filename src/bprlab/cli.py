@@ -38,10 +38,9 @@ def _write_json(path: str, payload: dict) -> None:
                                         allow_nan=False) + "\n")
 
 
-def _apply_config_file(args, parser):
-    """Values from --config fill in any flag still at its subcommand's default."""
-    if not getattr(args, "config", None):
-        return args
+def _apply_config_file(args, parser) -> None:
+    """Make the values from --config the subcommand's defaults, so that parsing
+    the command line again lets every flag given there win."""
     with open(args.config) as fh:
         try:
             file_cfg = json.load(fh)
@@ -58,9 +57,7 @@ def _apply_config_file(args, parser):
         if dest not in actions:
             raise RejectedInputError(f"unknown config field {key!r}")
         _check_config_value(actions[dest], key, value)
-        if getattr(args, dest) == command_parser.get_default(dest):
-            setattr(args, dest, value)
-    return args
+        command_parser.set_defaults(**{dest: value})
 
 
 def _check_config_value(action, key, value) -> None:
@@ -311,10 +308,10 @@ def _audit_invariants() -> dict:
     worst_grad = 0.0
     for _ in range(10):
         model = numerics.init_mlp([3, 5, 2], ["tanh", "identity"], rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=3)[None, :]
         w = rng.normal(size=2)
-        y, cache = numerics.forward(model, x)
-        g, _ = numerics.backward(model, cache, w)
+        _, cache = numerics.forward(model, x)
+        g, _ = numerics.backward(model, cache, w[None, :])
         flat = model.flat_parameters()
         h = 1e-5
         for i in rng.choice(flat.size, size=8, replace=False):
@@ -324,7 +321,7 @@ def _audit_invariants() -> dict:
             mp, mm = model.copy(), model.copy()
             mp.set_flat_parameters(fp)
             mm.set_flat_parameters(fm)
-            fd = (numerics.forward(mp, x)[0] @ w - numerics.forward(mm, x)[0] @ w) / (2 * h)
+            fd = (numerics.forward(mp, x)[0][0] @ w - numerics.forward(mm, x)[0][0] @ w) / (2 * h)
             denom = max(abs(fd), abs(g[i]), 1e-8)
             worst_grad = max(worst_grad, abs(fd - g[i]) / denom)
     if worst_grad > 1e-4:
@@ -445,8 +442,13 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is rejected input, not argparse's exit 2
+        raise RejectedInputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bprlab")
+    parser = _Parser(prog="bprlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -513,12 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if args.config:
+            _apply_config_file(args, parser)
+            args = parser.parse_args(argv)
         # a computed value that matters passes bpr.check_finite, so an overflow
         # shows as one error line, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            args = _apply_config_file(args, parser)
             return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

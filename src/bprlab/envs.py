@@ -225,6 +225,9 @@ def load_dataset(path: str) -> OfflineDataset:
             lines = (line for line in fh if line.strip())
             header = json.loads(next(lines, ""))
             state_dim, action_dim, n, tag = (header[k] for k in _HEADER_KEYS)
+            for key, value in zip(_HEADER_KEYS, (state_dim, action_dim, n)):
+                if type(value) is not int:  # a JSON integer: no bool, no float
+                    raise RejectedInputError(f"{path}: header {key}={value!r} is not an integer")
             rows, blocks = 0, []
             while block := list(itertools.islice(lines, ROW_BLOCK)):
                 rows += len(block)

@@ -41,6 +41,8 @@ class Layer:
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise RejectedInputError("layer weight/bias shapes inconsistent")
+        if 0 in self.weight.shape:
+            raise RejectedInputError(f"a layer of shape {self.weight.shape} has a zero dimension")
         if self.activation not in ACTIVATIONS:
             raise RejectedInputError(f"unknown activation {self.activation!r}")
 
@@ -150,25 +152,19 @@ def _activate_in_place(z: np.ndarray, act: str) -> None:
 @dataclass
 class ForwardCache:
     model_id: int
-    single: bool
     inputs: list[np.ndarray] = field(default_factory=list)  # per-layer inputs (n, in)
     output: np.ndarray | None = None  # the last layer's activation (n, out)
 
 
 def forward(model: MlpModel, x: np.ndarray,
             out: np.ndarray | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """(output, cache) of the model on one row or an (n, input_dim) batch. The last
-    layer writes into `out` when given, an (n, output_dim) float64 array such as a
+    """(output, cache) of the model on an (n, input_dim) batch. The last layer
+    writes into `out` when given, an (n, output_dim) float64 array such as a
     slice of a larger result, and the output is then `out` itself."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise RejectedInputError(
-            f"input dim {x.shape[-1]} != model input dim {model.input_dim}"
-        )
-    cache = ForwardCache(model_id=id(model), single=single)
+        raise RejectedInputError(f"input of shape {x.shape} is not an (n, {model.input_dim}) batch")
+    cache = ForwardCache(model_id=id(model))
     h = x
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
@@ -177,7 +173,7 @@ def forward(model: MlpModel, x: np.ndarray,
         h += layer.bias
         _activate_in_place(h, layer.activation)
     cache.output = h
-    return (h[0] if single else h), cache
+    return h, cache
 
 
 def backward(
@@ -191,10 +187,9 @@ def backward(
     if cache.model_id != id(model) or len(cache.inputs) != len(model.layers):
         raise ContractViolationError("cache does not match this model/forward call")
     gy = np.asarray(output_gradient, dtype=np.float64)
-    if cache.single:
-        gy = gy[None, :]
     if gy.shape != (cache.inputs[0].shape[0], model.output_dim):
-        raise ContractViolationError("output gradient shape mismatch")
+        raise RejectedInputError(f"output gradient of shape {gy.shape} is not an "
+                                 f"({cache.inputs[0].shape[0]}, {model.output_dim}) batch")
     grad = None
     if param_grads:
         grad = np.empty(model.flat.size) if out is None else out
@@ -227,29 +222,29 @@ def backward(
             g += 0.0
         else:
             g = gz @ layer.weight
-    return grad, (g[0] if cache.single else g)
+    return grad, g
 
 
 def l2_normalize_with_grad(v: np.ndarray):
-    """Row-wise v / max(||v||, L2_FLOOR). Returns (unit, backprop) where
-    backprop maps a gradient w.r.t. the output to one w.r.t. v."""
+    """Row-wise v / max(||v||, L2_FLOOR) of an (n, d) batch. Returns (unit,
+    backprop) where backprop maps a gradient w.r.t. the output to one w.r.t. v."""
     v = np.asarray(v, dtype=np.float64)
-    single = v.ndim == 1
-    vv = v[None, :] if single else v
-    norms = np.linalg.norm(vv, axis=1, keepdims=True)
+    if v.ndim != 2:
+        raise RejectedInputError(f"input of shape {v.shape} is not an (n, d) batch")
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
     denom = np.maximum(norms, L2_FLOOR)
-    u = vv / denom
+    u = v / denom
     floored = norms[:, 0] <= L2_FLOOR
 
     def backprop(gu: np.ndarray) -> np.ndarray:
-        g = gu[None, :] if single else np.asarray(gu, dtype=np.float64)
+        g = np.asarray(gu, dtype=np.float64)
         # Jacobian (I - u u^T)/||v|| above the floor, I/L2_FLOOR below it.
         gv = (g - u * np.sum(u * g, axis=1, keepdims=True)) / denom
         if np.any(floored):
             gv[floored] = g[floored] / L2_FLOOR
-        return gv[0] if single else gv
+        return gv
 
-    return (u[0] if single else u), backprop
+    return u, backprop
 
 
 @dataclass

@@ -98,19 +98,19 @@ def test_criterion_2_gradient_fidelity():
         sdim = int(rng.integers(2, 5))
 
         # normalized-action prediction loss, gradient w.r.t. the prediction
-        y = rng.normal(size=dim) * rng.uniform(0.5, 5.0)
-        a = rng.normal(size=dim)
+        y = rng.normal(size=(1, dim)) * rng.uniform(0.5, 5.0)
+        a = rng.normal(size=(1, dim))
         while np.linalg.norm(a) < 0.1:
-            a = rng.normal(size=dim)
+            a = rng.normal(size=(1, dim))
         _, grad = bpr.bpr_loss(y, a)
         w = 0.0
         for i in range(dim):
             yp, ym = y.copy(), y.copy()
-            yp[i] += h
-            ym[i] -= h
+            yp[0, i] += h
+            ym[0, i] -= h
             fd = (bpr.bpr_loss(yp, a)[0] - bpr.bpr_loss(ym, a)[0]) / (2 * h)
-            denom = max(abs(fd), abs(grad[i]), 1e-6)
-            w = max(w, abs(fd - grad[i]) / denom)
+            denom = max(abs(fd), abs(grad[0, i]), 1e-6)
+            w = max(w, abs(fd - grad[0, i]) / denom)
         worst["bpr"] = max(worst["bpr"], w)
 
         x = rng.normal(size=(n, sdim))

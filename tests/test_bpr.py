@@ -28,32 +28,32 @@ def small_dataset(n=400, seed=0):
 
 class TestLossValues:
     def test_aligned_directions_give_zero(self):
-        loss, grad = bpr.bpr_loss(np.array([2.0, 0.0]), np.array([0.5, 0.0]))
+        loss, grad = bpr.bpr_loss(np.array([[2.0, 0.0]]), np.array([[0.5, 0.0]]))
         assert abs(loss) < 1e-12
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_opposite_directions_give_four(self):
-        loss, _ = bpr.bpr_loss(np.array([1.0, 0.0]), np.array([-3.0, 0.0]))
+        loss, _ = bpr.bpr_loss(np.array([[1.0, 0.0]]), np.array([[-3.0, 0.0]]))
         assert abs(loss - 4.0) < 1e-12
 
     def test_orthogonal_directions_give_two(self):
-        loss, _ = bpr.bpr_loss(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
+        loss, _ = bpr.bpr_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]]))
         assert abs(loss - 2.0) < 1e-12
 
     def test_equals_cosine_form(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            y = rng.normal(size=3) + 0.1
-            a = rng.normal(size=3) + 0.1
+            y = rng.normal(size=(1, 3)) + 0.1
+            a = rng.normal(size=(1, 3)) + 0.1
             loss, _ = bpr.bpr_loss(y, a)
-            cos = (y @ a) / (np.linalg.norm(y) * np.linalg.norm(a))
+            cos = np.sum(y * a) / (np.linalg.norm(y) * np.linalg.norm(a))
             assert abs(loss - (2.0 - 2.0 * cos)) < 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(finite_vec, finite_vec)
     def test_range_and_scale_invariance(self, y, a):
-        y = np.array(y)
-        a = np.array(a[: len(y)] + [1.0] * max(0, len(y) - len(a)))
+        y = np.array([y])
+        a = np.array([a[: y.shape[1]] + [1.0] * max(0, y.shape[1] - len(a))])
         if np.linalg.norm(a) < 1e-3 or np.linalg.norm(y) < 1e-6:
             return
         loss, _ = bpr.bpr_loss(y, a)
@@ -61,19 +61,19 @@ class TestLossValues:
         loss_scaled, _ = bpr.bpr_loss(y, 7.5 * a)
         assert abs(loss - loss_scaled) < 1e-9
 
-    def test_batch_is_mean_of_singles(self):
+    def test_one_row_batches_agree_with_the_full_batch(self):
         rng = np.random.default_rng(1)
         y = rng.normal(size=(8, 3)) + 0.2
         a = rng.normal(size=(8, 3)) + 0.2
         batch_loss, batch_grad = bpr.bpr_loss(y, a)
-        singles = [bpr.bpr_loss(y[i], a[i]) for i in range(8)]
-        assert abs(batch_loss - np.mean([l for l, _ in singles])) < 1e-12
+        rows = [bpr.bpr_loss(y[i : i + 1], a[i : i + 1]) for i in range(8)]
+        assert abs(batch_loss - np.mean([l for l, _ in rows])) < 1e-12
         np.testing.assert_allclose(
-            batch_grad, np.stack([g for _, g in singles]) / 8.0, atol=1e-12)
+            batch_grad, np.concatenate([g for _, g in rows]) / 8.0, atol=1e-12)
 
     def test_tiny_action_norm_rejected(self):
         with pytest.raises(ContractViolationError):
-            bpr.bpr_loss(np.array([1.0, 0.0]), np.array([1e-9, 0.0]))
+            bpr.bpr_loss(np.array([[1.0, 0.0]]), np.array([[1e-9, 0.0]]))
 
 
 class TestLossGradients:
@@ -82,22 +82,22 @@ class TestLossGradients:
         h = 1e-5
         for _ in range(120):
             dim = int(rng.integers(2, 6))
-            y = rng.normal(size=dim) * rng.uniform(0.5, 5.0)
-            a = rng.normal(size=dim)
+            y = rng.normal(size=(1, dim)) * rng.uniform(0.5, 5.0)
+            a = rng.normal(size=(1, dim))
             while np.linalg.norm(a) < 0.1:
-                a = rng.normal(size=dim)
+                a = rng.normal(size=(1, dim))
             _, grad = bpr.bpr_loss(y, a)
             for i in range(dim):
                 yp, ym = y.copy(), y.copy()
-                yp[i] += h
-                ym[i] -= h
+                yp[0, i] += h
+                ym[0, i] -= h
                 fd = (bpr.bpr_loss(yp, a)[0] - bpr.bpr_loss(ym, a)[0]) / (2 * h)
-                denom = max(abs(fd), abs(grad[i]), 1e-6)
-                assert abs(fd - grad[i]) / denom < 1e-4
+                denom = max(abs(fd), abs(grad[0, i]), 1e-6)
+                assert abs(fd - grad[0, i]) / denom < 1e-4
 
     def test_gradient_ignores_action_scale(self):
-        y = np.array([1.0, 2.0])
-        a = np.array([0.3, -0.7])
+        y = np.array([[1.0, 2.0]])
+        a = np.array([[0.3, -0.7]])
         _, g1 = bpr.bpr_loss(y, a)
         _, g2 = bpr.bpr_loss(y, 100.0 * a)
         np.testing.assert_allclose(g1, g2, atol=1e-12)
@@ -124,6 +124,26 @@ class TestLossGradients:
                 return bpr.bpr_loss(y, a)[0]
             fd = (loss_at(flat[i] + h) - loss_at(flat[i] - h)) / (2 * h)
             assert abs(fd - analytic[i]) < 1e-5 * max(1.0, abs(fd))
+
+
+def _one_dimensional_calls():
+    rng = np.random.default_rng(0)
+    enc = bpr.build_encoder(3, 2, (4,), rng)
+    _, cache = numerics.forward(enc.net, np.zeros((1, 3)))
+    row = np.ones(2)
+    return {
+        "forward": lambda: numerics.forward(enc.net, np.zeros(3)),
+        "backward": lambda: numerics.backward(enc.net, cache, row),
+        "l2_normalize_with_grad": lambda: numerics.l2_normalize_with_grad(row),
+        "bpr_loss": lambda: bpr.bpr_loss(row, row),
+        "encode": lambda: enc.encode(np.zeros(3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_one_dimensional_calls()))
+def test_a_one_dimensional_input_is_rejected(name):
+    with pytest.raises(RejectedInputError, match="batch"):
+        _one_dimensional_calls()[name]()
 
 
 class TestFiltering:
@@ -270,7 +290,7 @@ class TestEncoderArtifacts:
         x = np.random.default_rng(n).normal(size=(n, 4))
         want, _ = numerics.forward(enc.net, x)
         assert enc.encode(x).tobytes() == want.tobytes()
-        assert enc.encode(x[0]).tobytes() == numerics.forward(enc.net, x[0])[0].tobytes()
+        assert enc.encode(x[:1]).tobytes() == numerics.forward(enc.net, x[:1])[0].tobytes()
 
     def test_encode_memory_is_bounded_by_a_block(self):
         # one pass over 20 000 rows holds two (20 000, 256) hidden activations,

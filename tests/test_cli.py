@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bprlab import agents, cli, envs, errors, numerics
+from bprlab import agents, analysis, cli, envs, errors, numerics
 from bprlab.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -207,6 +207,16 @@ class TestTrain:
         assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl",
                     "--algo", "bc", "--config", "bad.json", "--out", "."]) == EXIT_USAGE
 
+    def test_a_flag_given_at_its_default_beats_the_config(self, workdir, monkeypatch):
+        self._dataset()
+        json.dump({"batch-size": 16, "gradient-steps": 3}, open("cfg.json", "w"))
+        seen = []
+        monkeypatch.setattr(cli, "_train_one_seed", lambda args, *_: seen.append(args) or {
+            "seed": 0, "final_return_mean": 0.0, "trace_file": "t.csv"})
+        assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "bc",
+                    "--batch-size", "256", "--config", "cfg.json", "--out", "."]) == EXIT_OK
+        assert (seen[0].batch_size, seen[0].gradient_steps) == (256, 3)
+
 
 class TestCoTrain:
     ARGS = ["--task", "pointmass", "--dataset", "d.jsonl", "--algo", "td3bc",
@@ -366,6 +376,19 @@ def test_corrupt_encoder_checkpoint_is_usage_error(workdir, capsys):
         capsys.readouterr()
         assert run([*_TRAIN_BC, "--encoder", "bad.ckpt"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_encoder_checkpoint_with_a_zero_width_layer_is_usage_error(workdir, capsys):
+    # a (0, 4) relu layer and a (3, 0) identity layer chain, and encode every
+    # state to the same representation
+    run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
+    blob = (numerics.CHECKPOINT_MAGIC + struct.pack("<I", 2) + struct.pack("<IIB", 0, 4, 0)
+            + struct.pack("<IIB", 3, 0, 2) + np.zeros(3).tobytes())
+    (workdir / "empty.ckpt").write_bytes(blob)
+    capsys.readouterr()
+    assert run([*_TRAIN_BC, "--encoder", "empty.ckpt"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: a layer of shape (0, 4) has a zero dimension\n"
+    assert not os.path.exists("bc-summary.json")
 
 
 def test_non_finite_encoder_checkpoint_is_rejected_at_load(workdir, capsys):
@@ -528,6 +551,23 @@ def test_pointmass_rewards_within_the_tolerance_are_accepted(workdir):
                 "--eval-every", "0", "--out", "."]) == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dataset", "d.jsonl", "--algo", "bc", "--batch-size", "abc"],
+    ["--algo", "bc"],
+    ["--dataset", "d.jsonl", "--algo", "sac"],
+], ids=["batch-size-not-int", "no-dataset", "unknown-algo"])
+def test_bad_command_line_is_usage_error(workdir, capsys, argv):
+    assert run(["train", "--task", "pointmass", *argv, "--out", "."]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: bprlab train: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["train", "--help"])
+    assert info.value.code == 0 and "--dataset" in capsys.readouterr().out
+
+
 def test_dataset_path_that_is_a_directory_is_usage_error(workdir, capsys):
     (workdir / "d.jsonl").mkdir()
     assert run(["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "bc",
@@ -545,6 +585,13 @@ class TestAudit:
         assert run(["audit", "--perturb-reward", "0.5"]) == EXIT_AUDIT
         err = capsys.readouterr().err
         assert "audit_failed" in err
+
+    def test_violated_tvd_bounds_are_counted_and_exit_three(self, capsys, monkeypatch):
+        # with no occupancy the bound is 0, below every nonzero gap
+        monkeypatch.setattr(analysis, "_occupancy", lambda mdp, policy: np.zeros(mdp.n_states))
+        assert run(["audit", "--json"]) == EXIT_AUDIT
+        assert json.loads(capsys.readouterr().err) == {
+            "audit_failed": True, "detail": "TVD bound violated in 100 instances"}
 
 
 class TestReport:

@@ -354,6 +354,16 @@ class TestDatasetIO:
         with pytest.raises(RejectedInputError):
             envs.load_dataset(str(path))
 
+    @pytest.mark.parametrize("key, value", [("n", True), ("n", 1.0), ("state_dim", True),
+                                            ("action_dim", True)])
+    def test_header_count_that_is_not_a_json_integer_rejected(self, tmp_path, key, value):
+        header = {"state_dim": 1, "action_dim": 1, "n": 1, "behavior_tag": "", key: value}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(header) + "\n"
+                        '{"s": [0.0], "a": [1.0], "r": 0.0, "s2": [0.0], "d": 1}\n')
+        with pytest.raises(RejectedInputError, match=f"header {key}="):
+            envs.load_dataset(str(path))
+
     @pytest.mark.parametrize("text", ["", "\n\n", '{"state_dim": 1, "action_dim": 1, "n": 0, '
                                       '"behavior_tag": ""}\n'], ids=["empty", "blank", "n-0"])
     def test_file_without_rows_rejected(self, tmp_path, text):

@@ -63,27 +63,27 @@ class TestForwardBackward:
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         model = numerics.init_mlp([3, 6, 2], ["tanh", "identity"], rng)
-        x = rng.normal(size=3)
-        w = rng.normal(size=2)
+        x = rng.normal(size=(1, 3))
+        w = rng.normal(size=(1, 2))
         _, cache = numerics.forward(model, x)
         _, gx = numerics.backward(model, cache, w)
         h = 1e-6
         for i in range(3):
             xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd = (numerics.forward(model, xp)[0] @ w - numerics.forward(model, xm)[0] @ w) / (2 * h)
-            assert abs(fd - gx[i]) < 1e-7
+            xp[0, i] += h
+            xm[0, i] -= h
+            fd = np.sum((numerics.forward(model, xp)[0] - numerics.forward(model, xm)[0]) * w) / (2 * h)
+            assert abs(fd - gx[0, i]) < 1e-7
 
-    def test_single_and_batch_agree(self):
+    def test_one_row_batches_agree_with_the_full_batch(self):
         rng = np.random.default_rng(2)
         model = random_model(rng)
         x = rng.normal(size=(4, model.input_dim))
         yb, _ = numerics.forward(model, x)
         for i in range(4):
-            ys, _ = numerics.forward(model, x[i])
+            ys, _ = numerics.forward(model, x[i : i + 1])
             # BLAS may order the sums differently for (1, d) vs (n, d)
-            np.testing.assert_allclose(ys, yb[i], atol=1e-14)
+            np.testing.assert_allclose(ys[0], yb[i], atol=1e-14)
 
     def test_scalar_head_input_gradient_equals_the_matmul_with_signed_zeros(self):
         # backward forms a width-1 layer's input gradient as an outer product;
@@ -156,16 +156,17 @@ class TestForwardBackward:
 
         rng = np.random.default_rng(9)
         model = numerics.init_mlp([5, 8, 8, 3], [act] * 3, rng)
-        x = rng.normal(size=5 if single else (16, 5))
-        gy = rng.normal(size=3 if single else (16, 3))
+        n = 1 if single else 16
+        x = rng.normal(size=(n, 5))
+        gy = rng.normal(size=(n, 3))
         gy[..., 0] = -0.0
         gy_before = gy.copy()
         _, cache = numerics.forward(model, x)
         grad, gx = numerics.backward(model, cache, gy)
         assert gy.tobytes() == gy_before.tobytes()
-        want_grad, want_gx = reference(model, cache, np.atleast_2d(gy))
+        want_grad, want_gx = reference(model, cache, gy)
         assert grad.tobytes() == want_grad.tobytes()
-        assert gx.tobytes() == want_gx.reshape(gx.shape).tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
 
     def test_forward_writes_its_last_layer_into_a_given_slice(self):
         rng = np.random.default_rng(10)
@@ -182,15 +183,15 @@ class TestForwardBackward:
         rng = np.random.default_rng(3)
         m1 = numerics.init_mlp([2, 3, 1], ["relu", "identity"], rng)
         m2 = numerics.init_mlp([2, 3, 1], ["relu", "identity"], rng)
-        _, cache = numerics.forward(m1, np.zeros(2))
+        _, cache = numerics.forward(m1, np.zeros((1, 2)))
         with pytest.raises(ContractViolationError):
-            numerics.backward(m2, cache, np.zeros(1))
+            numerics.backward(m2, cache, np.zeros((1, 1)))
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         model = numerics.init_mlp([3, 2], ["identity"], rng)
         with pytest.raises(RejectedInputError):
-            numerics.forward(model, np.zeros(4))
+            numerics.forward(model, np.zeros((1, 4)))
 
 
 class TestL2Normalize:
@@ -203,25 +204,25 @@ class TestL2Normalize:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            v = rng.normal(size=4) * rng.uniform(0.1, 10.0)
-            g_out = rng.normal(size=4)
+            v = rng.normal(size=(1, 4)) * rng.uniform(0.1, 10.0)
+            g_out = rng.normal(size=(1, 4))
             _, back = numerics.l2_normalize_with_grad(v)
             gv = back(g_out)
             h = 1e-7
             for i in range(4):
                 vp, vm = v.copy(), v.copy()
-                vp[i] += h
-                vm[i] -= h
+                vp[0, i] += h
+                vm[0, i] -= h
                 up, _ = numerics.l2_normalize_with_grad(vp)
                 um, _ = numerics.l2_normalize_with_grad(vm)
-                fd = (up @ g_out - um @ g_out) / (2 * h)
-                assert abs(fd - gv[i]) < 1e-5 * max(1.0, abs(fd))
+                fd = np.sum((up - um) * g_out) / (2 * h)
+                assert abs(fd - gv[0, i]) < 1e-5 * max(1.0, abs(fd))
 
     def test_below_floor_uses_identity_over_eps(self):
-        v = np.zeros(3)
+        v = np.zeros((1, 3))
         u, back = numerics.l2_normalize_with_grad(v)
         np.testing.assert_array_equal(u, 0.0)
-        g = np.array([1.0, 0.0, 0.0])
+        g = np.array([[1.0, 0.0, 0.0]])
         np.testing.assert_allclose(back(g), g / 1e-8)
 
     def test_gradient_orthogonal_to_output_above_floor(self):
