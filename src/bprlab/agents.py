@@ -66,7 +66,8 @@ class AgentConfig:
             raise RejectedInputError("co_train_encoder requires use_encoder")
         if self.co_train_encoder and self.algorithm != "td3bc":
             raise RejectedInputError("co-training the encoder is only supported with td3bc")
-        for name, low in (("gradient_steps", 0), ("seed", 0), ("batch_size", 1), ("repr_dim", 1)):
+        for name, low in (("gradient_steps", 0), ("seed", 0), ("batch_size", 1), ("repr_dim", 1),
+                          ("eval_every", 0), ("eval_episodes", 1)):
             if getattr(self, name) < low:
                 raise RejectedInputError(f"{name} must be >= {low}, not {getattr(self, name)}")
         if any(h < 1 for h in self.hidden):
@@ -494,6 +495,11 @@ class TabularCQLResult:
         return float(initial_dist @ per_state)
 
 
+def _check_tabular_shape(dataset: OfflineDataset, n_states: int, n_actions: int) -> None:
+    if (n_states, n_actions) != (shape := (dataset.state_dim, dataset.action_dim)):
+        raise RejectedInputError(f"({n_states}, {n_actions}) does not fit the dataset's {shape}")
+
+
 def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
                       config: AgentConfig) -> TabularCQLResult:
     """Gradient-trained conservative Q table: TD loss toward a periodically
@@ -509,6 +515,7 @@ def train_cql_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
     logsumexp and softmax once per state and sums the TD, softmax and
     -alpha/n gradient terms with one bincount, cell by cell in the same order
     as per-sample accumulation."""
+    _check_tabular_shape(dataset, n_states, n_actions)
     s, a, r, s2, d = tabular_indices(dataset)
     rng = np.random.default_rng(config.seed)
     temp, alpha, every = CQL_TEMP, config.cql_alpha, config.cql_target_every
@@ -579,42 +586,30 @@ class SpibbResult:
     empirical_mdp: TabularMDP
 
 
-def _q_on_empirical(mdp_hat: TabularMDP, policy_full: TabularPolicy) -> np.ndarray:
-    v, _ = evaluate_policy_exact(mdp_hat, policy_full)
-    return mdp_hat.reward + mdp_hat.discount * (mdp_hat.transition @ v)
-
-
-def _full_policy(probs: np.ndarray, mdp_hat: TabularMDP) -> TabularPolicy:
-    extra = mdp_hat.n_states - probs.shape[0]
-    pad = np.full((extra, probs.shape[1]), 1.0 / probs.shape[1])
-    return TabularPolicy(np.vstack([probs, pad]))
-
-
 def train_spibb_tabular(dataset: OfflineDataset, n_states: int, n_actions: int,
                         config: AgentConfig) -> SpibbResult:
     """Policy iteration on the empirical MDP, constrained to copy the estimated
-    behavior at state-action pairs with fewer than n_wedge visits."""
-    behavior, counts, _ = estimate_behavior_tabular(dataset, n_states, n_actions)
-    mdp_hat, _ = empirical_mdp_from_dataset(dataset, n_states, n_actions, config.gamma)
-    probs = behavior.probs.copy()
+    behavior at state-action pairs with fewer than n_wedge visits: each round
+    moves every state's free mass to its best free action. The behavior and the
+    free pairs carry a row for the absorbing state: uniform, and never free."""
+    _check_tabular_shape(dataset, n_states, n_actions)
+    behavior, counts = estimate_behavior_tabular(dataset)
+    mdp_hat, _ = empirical_mdp_from_dataset(dataset, config.gamma)
+    beh = np.vstack([behavior.probs, np.full(n_actions, 1.0 / n_actions)])
+    free = np.vstack([counts >= config.n_wedge, np.zeros(n_actions, dtype=bool)])
+    free_mass = np.where(free, beh, 0.0).sum(axis=1)
+    probs = beh
     for _ in range(SPIBB_MAX_ITERS):
-        q = _q_on_empirical(mdp_hat, _full_policy(probs, mdp_hat))[:n_states]
-        new = behavior.probs.copy()
-        for st in range(n_states):
-            free = counts[st] >= config.n_wedge
-            if not np.any(free):
-                continue
-            new[st, free] = 0.0
-            free_idx = np.flatnonzero(free)
-            best = free_idx[np.argmax(q[st, free_idx])]
-            new[st, best] = behavior.probs[st, free].sum()
+        v, _ = evaluate_policy_exact(mdp_hat, TabularPolicy(probs))
+        q = mdp_hat.reward + mdp_hat.discount * (mdp_hat.transition @ v)
+        new = np.where(free, 0.0, beh)
+        new[np.arange(len(new)), np.where(free, q, -np.inf).argmax(axis=1)] += free_mass
         if np.allclose(new, probs, atol=1e-12):
             break
         probs = new
-    out = TabularPolicy(probs)
-    _, j_out = evaluate_policy_exact(mdp_hat, _full_policy(probs, mdp_hat))
-    _, j_beh = evaluate_policy_exact(mdp_hat, _full_policy(behavior.probs, mdp_hat))
-    return SpibbResult(out, behavior, counts, j_out, j_beh, mdp_hat)
+    _, j_out = evaluate_policy_exact(mdp_hat, TabularPolicy(probs))
+    _, j_beh = evaluate_policy_exact(mdp_hat, TabularPolicy(beh))
+    return SpibbResult(TabularPolicy(probs[:n_states]), behavior, counts, j_out, j_beh, mdp_hat)
 
 
 def write_trace_csv(rows: list[dict], path: str) -> None:

@@ -144,7 +144,8 @@ def verify_theorem2(mdp: TabularMDP, dataset: OfflineDataset, spibb_result,
                     behavior: TabularPolicy) -> BoundReport:
     """Realized-terms check of the conservative improvement bound:
     J(pi_out) >= J(pi_beta) + Delta_hat - eps_Delta - eps_beta, with
-    eps_beta and eps_Delta computed exactly on this instance."""
+    eps_beta and eps_Delta computed exactly on this instance. By construction the
+    slack is max(0, J_output - J_behavior_hat - delta_hat): never negative beyond rounding."""
     pi_hat = spibb_result.behavior_estimate
     pi_out = spibb_result.policy
     _, j_beh = evaluate_policy_exact(mdp, behavior)
@@ -162,8 +163,9 @@ def verify_theorem2(mdp: TabularMDP, dataset: OfflineDataset, spibb_result,
 def verify_theorem3(mdp: TabularMDP, dataset: OfflineDataset, cql_result,
                     behavior: TabularPolicy) -> BoundReport:
     """Realized-terms check of the pessimistic lower-bound variant:
-    J(pi_out) >= J(pi_beta) + Delta_lower - eps_lower - eps_beta."""
-    pi_hat, _, _ = estimate_behavior_tabular(dataset, mdp.n_states, mdp.n_actions)
+    J(pi_out) >= J(pi_beta) + Delta_lower - eps_lower - eps_beta. By construction
+    the slack is J_output - J_perp(pi_out), the critic's pessimism at pi_out."""
+    pi_hat, _ = estimate_behavior_tabular(dataset)
     pi_out = cql_result.policy
     _, j_beh = evaluate_policy_exact(mdp, behavior)
     _, j_hat = evaluate_policy_exact(mdp, pi_hat)
@@ -196,7 +198,7 @@ def run_counterexample_audit(reward_perturbation: float = 0.0) -> dict:
             raise AuditFailureError(f"{name}: got {got!r}, expected {want!r}")
         return got
 
-    pi_hat, _, _ = estimate_behavior_tabular(dataset, mdp.n_states, mdp.n_actions)
+    pi_hat, _ = estimate_behavior_tabular(dataset)
     _, j_hat = evaluate_policy_exact(mdp, pi_hat)
     report = {"J_behavior_hat": check("J(pi_behavior_hat)", j_hat, 0.25)}
 

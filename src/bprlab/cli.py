@@ -239,10 +239,16 @@ POINTMASS_REWARD_TOL = 1e-9
 
 
 def _fit_task(args, dataset: envs.OfflineDataset) -> None:
-    """Set the discount and check the dataset against the task, before any
-    gradient step. The gridworld's discount belongs to its MDP; --gamma may only
-    repeat it, and every reward must lie in its [-r_max, r_max]. A point-mass
-    reward must be the task's reward for its next state."""
+    """Set the discount and check the dataset and the flags against the task before
+    any gradient step. The gridworld's discount belongs to its MDP; --gamma may only
+    repeat it, and every reward must lie in its [-r_max, r_max]. A point-mass reward
+    must be its next state's task reward; a flag the task does not read is rejected."""
+    unread = ([("--probe-bounds", args.probe_bounds)] if args.task == "pointmass" else
+              [("--encoder", args.encoder is not None), ("--probe-ed", args.probe_ed != 0),
+               ("--threshold", args.threshold is not None)])
+    for flag, given in unread:
+        if given:
+            raise RejectedInputError(f"{flag} does not apply to the {args.task} task")
     if args.task == "pointmass":
         args.gamma = agents.AgentConfig.gamma if args.gamma is None else args.gamma
         dims = (envs.PointMassEnv.state_dim, envs.PointMassEnv.action_dim)
@@ -402,14 +408,14 @@ def _plot_data_from_traces(summary) -> list[dict]:
         if not os.path.exists(path):
             raise RejectedInputError(f"summary {summary['label']!r} names trace {path}, "
                                      "which does not exist")
-        with open(path) as fh:
-            for rec in csv.DictReader(fh):
-                if rec.get("eval_return_mean"):
-                    try:
-                        step, value = int(rec.get("step")), float(rec["eval_return_mean"])
-                    except (TypeError, ValueError):
-                        raise RejectedInputError(f"trace {path}: bad row {rec}") from None
-                    by_step.setdefault(step, []).append(value)
+        try:  # a UnicodeDecodeError, from a file that is not UTF-8, is a ValueError
+            with open(path) as fh:
+                evals = [(int(rec.get("step")), float(rec["eval_return_mean"]))
+                         for rec in csv.DictReader(fh) if rec.get("eval_return_mean")]
+        except (TypeError, ValueError, csv.Error) as exc:
+            raise RejectedInputError(f"trace {path}: {exc}") from None
+        for step, value in evals:
+            by_step.setdefault(step, []).append(value)
     return [{"step": s, "mean": float(np.mean(v)), "std": float(np.std(v))}
             for s, v in sorted(by_step.items())]
 

@@ -392,12 +392,13 @@ def build_counterexample() -> tuple[TabularMDP, OfflineDataset, np.ndarray]:
     return mdp, dataset, collapse
 
 
-def empirical_mdp_from_dataset(dataset: OfflineDataset, n_states: int, n_actions: int,
+def empirical_mdp_from_dataset(dataset: OfflineDataset,
                                discount: float) -> tuple[TabularMDP, np.ndarray]:
-    """Maximum-likelihood tabular model. Returns (mdp, counts). Unvisited pairs
-    self-loop with zero reward. A synthetic absorbing state indexes done
-    transitions; initial distribution is empirical over episode starts."""
+    """Maximum-likelihood tabular model of the dataset's own states and actions; returns
+    (mdp, counts). Unvisited pairs self-loop with zero reward. A synthetic absorbing state
+    indexes done transitions; initial distribution is empirical over episode starts."""
     s, a, r, s2, d = tabular_indices(dataset)
+    n_states, n_actions = dataset.state_dim, dataset.action_dim
     n_total = n_states + 1  # + absorbing terminal
     n_pairs = n_states * n_actions
     pair = s * n_actions + a
@@ -416,13 +417,10 @@ def empirical_mdp_from_dataset(dataset: OfflineDataset, n_states: int, n_actions
     np.divide(reward_sums, counts, out=rew[:n_states], where=seen)
     t[n_states, :, n_states] = 1.0
     rho = start_counts / start_counts.sum()
-    terminal = np.zeros(n_total, dtype=bool)
-    terminal[n_states] = True
     # states never visited as a current state have no model; absorb them at 0
-    terminal[:n_states] |= counts.sum(axis=1) == 0
+    terminal = np.append(counts.sum(axis=1) == 0, True)
     r_max = max(1.0, np.max(np.abs(rew)))
-    mdp = TabularMDP(n_total, n_actions, t, rew, rho, discount, r_max, terminal)
-    return mdp, counts
+    return TabularMDP(n_total, n_actions, t, rew, rho, discount, r_max, terminal), counts
 
 
 def collapse_dataset(dataset: OfflineDataset, collapse: np.ndarray) -> OfflineDataset:
@@ -433,39 +431,36 @@ def collapse_dataset(dataset: OfflineDataset, collapse: np.ndarray) -> OfflineDa
 
 
 def evaluate_on_empirical_collapsed_model(dataset: OfflineDataset, collapse: np.ndarray,
-                                          policy_probs: np.ndarray) -> float:
+                                          action_probs: np.ndarray) -> float:
     """Build the ML empirical MDP over collapsed states, with the counterexample's
-    discount, and evaluate the given policy (rows indexed by collapsed state) exactly."""
+    discount, and evaluate exactly the policy that takes action_probs, one
+    distribution over actions, in every collapsed state."""
     collapsed = collapse_dataset(dataset, collapse)
-    n_collapsed = collapsed.state_dim
-    mdp, counts = empirical_mdp_from_dataset(collapsed, n_collapsed, collapsed.action_dim,
-                                             COUNTEREXAMPLE_DISCOUNT)
-    probs = np.asarray(policy_probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = np.tile(probs, (n_collapsed, 1))
-    for s in range(n_collapsed):
-        if counts[s].sum() == 0:
-            continue  # unreachable in the empirical model
-        unseen = counts[s] == 0
-        if np.any(probs[s, unseen] > 0):
-            raise UndefinedModelError(f"policy puts mass on unseen action at collapsed state {s}")
-    full = np.vstack([probs, np.full((1, collapsed.action_dim), 1.0 / collapsed.action_dim)])
-    _, j = evaluate_policy_exact(mdp, TabularPolicy(full))
-    return j
+    mdp, counts = empirical_mdp_from_dataset(collapsed, COUNTEREXAMPLE_DISCOUNT)
+    probs = np.asarray(action_probs, dtype=np.float64)
+    if probs.shape != (collapsed.action_dim,):
+        raise RejectedInputError(f"action_probs has shape {probs.shape}, not "
+                                 f"({collapsed.action_dim},)")
+    # a state with no visits is unreachable in the empirical model
+    unseen = (counts == 0) & (counts.sum(axis=1, keepdims=True) > 0)
+    bad = np.flatnonzero(np.any(unseen & (probs > 0), axis=1))
+    if bad.size:
+        raise UndefinedModelError(f"policy puts mass on unseen action at collapsed state {bad[0]}")
+    return evaluate_policy_exact(mdp, TabularPolicy(np.tile(probs, (mdp.n_states, 1))))[1]
 
 
-def estimate_behavior_tabular(dataset: OfflineDataset, n_states: int, n_actions: int):
-    """ML count-ratio estimate of the behavior policy. Unvisited states fall
-    back to uniform and are flagged."""
+def estimate_behavior_tabular(dataset: OfflineDataset) -> tuple[TabularPolicy, np.ndarray]:
+    """ML count-ratio estimate of the behavior policy over the dataset's
+    state_dim states and action_dim actions. Returns (policy, counts); an
+    unvisited state (counts.sum(axis=1) == 0) falls back to uniform."""
     s, a, _, _, _ = tabular_indices(dataset)
-    counts = np.zeros((n_states, n_actions))
-    np.add.at(counts, (s, a), 1.0)
-    totals = counts.sum(axis=1)
-    unvisited = totals == 0
+    n_states, n_actions = dataset.state_dim, dataset.action_dim
+    pair_counts = np.bincount(s * n_actions + a, minlength=n_states * n_actions)
+    counts = pair_counts.astype(np.float64).reshape(n_states, n_actions)
+    totals = counts.sum(axis=1, keepdims=True)
     probs = np.full((n_states, n_actions), 1.0 / n_actions)
-    seen = ~unvisited
-    probs[seen] = counts[seen] / totals[seen, None]
-    return TabularPolicy(probs), counts, unvisited
+    np.divide(counts, totals, out=probs, where=totals > 0)
+    return TabularPolicy(probs), counts
 
 
 _UNIFORM_BLOCK = 4096  # doubles per rng.random call in generate_tabular_dataset

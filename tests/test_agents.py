@@ -571,6 +571,88 @@ class TestSpibb:
                                    res.behavior_estimate.probs[low], atol=1e-12)
 
 
+def reference_spibb_tabular(dataset, n_wedge, gamma):
+    """The per-state SPIBB loop that train_spibb_tabular must reproduce byte
+    for byte: each round evaluates the iterate padded with a uniform row for
+    the empirical MDP's absorbing state, then improves one state at a time.
+    Returns (policy, behavior estimate, counts, J_hat(out), J_hat(behavior))."""
+    s, a, _, _, _ = envs.tabular_indices(dataset)
+    n_states, n_actions = dataset.state_dim, dataset.action_dim
+    counts = np.zeros((n_states, n_actions))
+    np.add.at(counts, (s, a), 1.0)
+    totals = counts.sum(axis=1)
+    behavior = np.full((n_states, n_actions), 1.0 / n_actions)
+    behavior[totals > 0] = counts[totals > 0] / totals[totals > 0, None]
+    mdp_hat, _ = envs.empirical_mdp_from_dataset(dataset, gamma)
+
+    def padded(probs):
+        return envs.TabularPolicy(np.vstack([probs, np.full((1, n_actions), 1.0 / n_actions)]))
+
+    probs = behavior.copy()
+    for _ in range(agents.SPIBB_MAX_ITERS):
+        v, _ = envs.evaluate_policy_exact(mdp_hat, padded(probs))
+        q = (mdp_hat.reward + mdp_hat.discount * (mdp_hat.transition @ v))[:n_states]
+        new = behavior.copy()
+        for st in range(n_states):
+            free = counts[st] >= n_wedge
+            if not np.any(free):
+                continue
+            new[st, free] = 0.0
+            free_idx = np.flatnonzero(free)
+            new[st, free_idx[np.argmax(q[st, free_idx])]] = behavior[st, free].sum()
+        if np.allclose(new, probs, atol=1e-12):
+            break
+        probs = new
+    _, j_out = envs.evaluate_policy_exact(mdp_hat, padded(probs))
+    _, j_beh = envs.evaluate_policy_exact(mdp_hat, padded(behavior))
+    return probs, behavior, counts, j_out, j_beh
+
+
+class TestSpibbMatchesPerStateLoop:
+    """One vectorised improvement step per round reorders no sum."""
+
+    @staticmethod
+    @functools.cache
+    def gridworld_greedy():
+        mdp = envs.make_gridworld()
+        return mdp, envs.value_iteration(mdp)[2]
+
+    @staticmethod
+    def assert_matches(ds, n_wedge, gamma):
+        cfg = agents.AgentConfig(algorithm="spibb", gamma=gamma, n_wedge=n_wedge)
+        res = agents.train_spibb_tabular(ds, ds.state_dim, ds.action_dim, cfg)
+        probs, behavior, counts, j_out, j_beh = reference_spibb_tabular(ds, n_wedge, gamma)
+        assert res.policy.probs.tobytes() == probs.tobytes()
+        assert res.behavior_estimate.probs.tobytes() == behavior.tobytes()
+        assert res.counts.tobytes() == counts.tobytes()
+        assert (res.j_hat_out, res.j_hat_behavior) == (j_out, j_beh)
+
+    @settings(max_examples=40, deadline=None)
+    @given(epsilon=st.sampled_from([0.0, 0.3, 0.8, 1.0]), seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([50, 300, 2000]),
+           n_wedge=st.sampled_from([0.0, 1.0, 3.0, 10.0, 50.0, np.inf]))
+    def test_bitwise_equal_on_drawn_gridworld_settings(self, epsilon, seed, n, n_wedge):
+        mdp, greedy = self.gridworld_greedy()
+        behavior = envs.epsilon_greedy_policy(greedy, epsilon)
+        self.assert_matches(envs.generate_tabular_dataset(mdp, behavior, n, seed), n_wedge,
+                            mdp.discount)
+
+    @pytest.mark.parametrize("n_wedge", [0.0, 1.0, 2.0, 3.0, np.inf])
+    def test_bitwise_equal_on_the_undiscounted_counterexample(self, n_wedge):
+        _, ds, _ = envs.build_counterexample()
+        self.assert_matches(ds, n_wedge, 1.0)
+
+
+@pytest.mark.parametrize("trainer", ["train_spibb_tabular", "train_cql_tabular"])
+@pytest.mark.parametrize("shape", [(25, 2), (25, 5), (20, 4), (26, 4)])
+def test_tabular_trainer_rejects_a_shape_that_is_not_the_datasets(trainer, shape):
+    # a wrong pair once trained a table on colliding cells, or hit a raw IndexError
+    ds, _ = TestTabularCqlMatchesPerSampleLoop.gridworld_data()
+    cfg = agents.AgentConfig(algorithm=trainer.split("_")[1], gradient_steps=3)
+    with pytest.raises(RejectedInputError, match=r"does not fit the dataset's \("):
+        getattr(agents, trainer)(ds, *shape, cfg)
+
+
 class TestTraceCsv:
     def test_writes_known_columns(self, tmp_path):
         rows = [{"step": 0, "critic_loss": 1.5, "extra": "ignored"},
@@ -601,6 +683,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("batch_size", -1), ("gradient_steps", -1), ("seed", -1),
         ("repr_dim", 0), ("hidden", (64, 0)), ("hidden", (-3,)),
+        ("eval_every", -1), ("eval_episodes", 0), ("eval_episodes", -2),
     ])
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(RejectedInputError, match="must be >= "):

@@ -130,6 +130,15 @@ class TestTheoremReports:
         rhs = rep.J_behavior + rep.delta_hat - rep.eps_delta - rep.eps_beta
         assert abs((lhs - rhs) - rep.theorem2_slack) < 1e-12
 
+    @pytest.mark.parametrize("n_wedge", [0.0, 10.0, np.inf])
+    def test_theorem2_slack_identity(self, n_wedge):
+        # the slack restates J_output - J_behavior_hat - delta_hat, clipped at 0
+        cfg = agents.AgentConfig(algorithm="spibb", gamma=0.95, n_wedge=n_wedge)
+        res = agents.train_spibb_tabular(self.ds, 25, 4, cfg)
+        rep = analysis.verify_theorem2(self.mdp, self.ds, res, self.behavior)
+        identity = max(0.0, rep.J_output - rep.J_behavior_hat - rep.delta_hat)
+        assert abs(rep.theorem2_slack - identity) < 1e-12
+
     def test_theorem3_slack_identity(self):
         cfg = agents.AgentConfig(algorithm="cql", gamma=0.95, gradient_steps=1500,
                                  learning_rate=1e-2, cql_alpha=1.0)

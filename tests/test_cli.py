@@ -348,13 +348,15 @@ _TRAIN_BC = ["train", "--task", "pointmass", "--dataset", "d.jsonl", "--algo", "
     ([], json.dumps({"gamma": 1.5})),
     (["--n-wedge=nan"], None),
     (["--n-wedge=-1"], None),
+    (["--eval-every", "-1"], None),  # once evaluated after every step
 ], ids=["seeds-not-int", "seeds-empty", "seeds-negative", "config-not-json",
         "config-not-object", "hidden-int", "hidden-empty", "steps-string", "lr-bool",
         "co-train-int", "seeds-int", "not-a-flag-func", "not-a-flag-help",
         "batch-negative", "batch-zero", "hidden-negative", "hidden-zero", "steps-negative",
         "probe-without-critic", "co-train-bc", "cql-alpha-negative", "lr-nan", "gamma-nan",
         "td3bc-gamma-nan", "td3bc-gamma-inf", "td3bc-gamma-above-1", "cql-gamma-negative",
-        "config-gamma-above-1", "n-wedge-nan", "n-wedge-negative"])
+        "config-gamma-above-1", "n-wedge-nan", "n-wedge-negative",
+        "eval-every-negative"])
 def test_bad_flag_or_config_value_is_usage_error(workdir, capsys, flags, config):
     run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "d.jsonl", "--out", "."])
     if config is not None:
@@ -363,6 +365,30 @@ def test_bad_flag_or_config_value_is_usage_error(workdir, capsys, flags, config)
     capsys.readouterr()
     assert run([*_TRAIN_BC, *flags]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("task, flags", [
+    ("gridworld", ["--encoder", "enc.ckpt"]),
+    ("gridworld", ["--probe-ed", "2"]),
+    ("gridworld", ["--threshold", "0.5"]),
+    ("pointmass", ["--probe-bounds"]),
+], ids=["gridworld-encoder", "gridworld-probe-ed", "gridworld-threshold",
+        "pointmass-probe-bounds"])
+def test_flag_the_task_does_not_read_is_usage_error(workdir, capsys, task, flags):
+    # each flag was once ignored, and the run exited 0
+    run(["gen-data", "--task", "pointmass", "--n", "200", "--name", "pm.jsonl", "--out", "."])
+    run(["pretrain", "--dataset", "pm.jsonl", "--steps", "2", "--batch-size", "16",
+         "--repr-dim", "4", "--hidden", "8", "--name", "enc", "--out", "."])
+    run(["gen-data", "--task", "gridworld", "--behavior", "eps_greedy:0.3", "--n", "100",
+         "--name", "grid.jsonl", "--out", "."])
+    capsys.readouterr()
+    dataset = "grid.jsonl" if task == "gridworld" else "pm.jsonl"
+    algo = "spibb" if task == "gridworld" else "td3bc"
+    assert run(["train", "--task", task, "--dataset", dataset, "--algo", algo,
+                "--gradient-steps", "2", "--batch-size", "16", "--hidden", "8",
+                *flags, "--out", "."]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flags[0]} does not apply to the {task} task\n"
+    assert not os.path.exists(f"{algo}-summary.json")
 
 
 def test_corrupt_encoder_checkpoint_is_usage_error(workdir, capsys):
@@ -633,6 +659,17 @@ class TestReport:
         (workdir / "t.csv").write_text("step,eval_return_mean\nx,1.0\n")
         assert run(["report", "s.json", "--out", "."]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_trace_that_is_not_utf8_is_usage_error(self, workdir, capsys):
+        # its first byte once ended the report in a raw UnicodeDecodeError
+        json.dump({"task": "pointmass", "label": "a", "seeds": [0],
+                   "per_seed": [{"seed": 0, "trace_file": "t.csv"}],
+                   "aggregate": {"mean": 0, "std": 0, "iqm": 0}}, open("s.json", "w"))
+        (workdir / "t.csv").write_bytes(b"\xffstep,eval_return_mean\n1,1.0\n")
+        assert run(["report", "s.json", "--out", "."]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace ") and "t.csv" in err and err.count("\n") == 1
+        assert not os.path.exists("comparison.md")
 
     def test_missing_trace_is_usage_error(self, workdir, capsys):
         json.dump({"task": "pointmass", "label": "a", "seeds": [0],

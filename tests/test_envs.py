@@ -148,7 +148,7 @@ class TestGridworld:
 class TestCounterexample:
     def test_exact_values(self):
         mdp, dataset, collapse = envs.build_counterexample()
-        pi_hat, _, _ = envs.estimate_behavior_tabular(dataset, 3, 2)
+        pi_hat, _ = envs.estimate_behavior_tabular(dataset)
         _, j_hat = envs.evaluate_policy_exact(mdp, pi_hat)
         assert abs(j_hat - 0.25) < 1e-12
         j_a0 = envs.evaluate_on_empirical_collapsed_model(dataset, collapse, np.array([1.0, 0.0]))
@@ -160,7 +160,7 @@ class TestCounterexample:
 
     def test_behavior_estimate_is_uniform(self):
         _, dataset, _ = envs.build_counterexample()
-        pi_hat, counts, _ = envs.estimate_behavior_tabular(dataset, 3, 2)
+        pi_hat, counts = envs.estimate_behavior_tabular(dataset)
         np.testing.assert_allclose(pi_hat.probs[0], [0.5, 0.5])
         assert counts[0].sum() == 4 and counts[1].sum() == 2
 
@@ -438,7 +438,7 @@ class TestDatasetArrays:
 class TestEmpiricalModel:
     def test_counts_and_rewards(self):
         _, dataset, _ = envs.build_counterexample()
-        mdp_hat, counts = envs.empirical_mdp_from_dataset(dataset, 3, 2, 1.0)
+        mdp_hat, counts = envs.empirical_mdp_from_dataset(dataset, 1.0)
         assert counts[0, 0] == 2 and counts[0, 1] == 2
         assert counts[1, 0] == 1 and counts[1, 1] == 1
         assert mdp_hat.reward[1, 0] == 1.0 and mdp_hat.reward[0, 0] == 0.0
@@ -448,7 +448,7 @@ class TestEmpiricalModel:
 
     def test_empirical_start_distribution(self):
         _, dataset, _ = envs.build_counterexample()
-        mdp_hat, _ = envs.empirical_mdp_from_dataset(dataset, 3, 2, 1.0)
+        mdp_hat, _ = envs.empirical_mdp_from_dataset(dataset, 1.0)
         np.testing.assert_allclose(mdp_hat.initial_dist, [1.0, 0.0, 0.0, 0.0])
 
     def test_behavior_frequencies_within_binomial_ci(self):
@@ -456,8 +456,8 @@ class TestEmpiricalModel:
         mdp = envs.random_mdp(3, 2, rng, discount=0.9)
         true_pol = envs.TabularPolicy(np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]]))
         ds = envs.generate_tabular_dataset(mdp, true_pol, 20000, seed=1, max_episode_len=50)
-        est, counts, unvisited = envs.estimate_behavior_tabular(ds, 3, 2)
-        assert not unvisited.any()
+        est, counts = envs.estimate_behavior_tabular(ds)
+        assert np.all(counts.sum(axis=1) > 0)  # every state visited
         for s in range(3):
             n = counts[s].sum()
             p = true_pol.probs[s, 0]
@@ -509,7 +509,7 @@ class TestEmpiricalModel:
                 loop_mdp, envs.TabularPolicy.uniform(6, 3), 40, seed=0),
         }[case]()
         n_states, n_actions = dataset.state_dim, dataset.action_dim
-        mdp_hat, counts = envs.empirical_mdp_from_dataset(dataset, n_states, n_actions, 0.9)
+        mdp_hat, counts = envs.empirical_mdp_from_dataset(dataset, 0.9)
         t, rew, rho, ref_counts = self.reference_model(dataset, n_states, n_actions)
         for got, want in ((mdp_hat.transition, t), (mdp_hat.reward, rew),
                           (mdp_hat.initial_dist, rho), (counts, ref_counts)):
@@ -517,6 +517,12 @@ class TestEmpiricalModel:
         assert mdp_hat.r_max == max(1.0, np.max(np.abs(rew)))
         unvisited = np.append(ref_counts.sum(axis=1) == 0, True)
         np.testing.assert_array_equal(mdp_hat.terminal, unvisited)
+        # the behavior estimate counts the same cells; an unvisited state is uniform
+        est, est_counts = envs.estimate_behavior_tabular(dataset)
+        totals = ref_counts.sum(axis=1, keepdims=True)
+        want = np.where(totals > 0, ref_counts / np.maximum(totals, 1.0), 1.0 / n_actions)
+        assert est_counts.tobytes() == ref_counts.tobytes()
+        assert est.probs.tobytes() == want.tobytes()
 
     def test_policy_mass_on_unseen_action_rejected(self):
         _, dataset, _ = envs.build_counterexample()
@@ -526,6 +532,13 @@ class TestEmpiricalModel:
         collapse = np.array([0, 0, 1])
         with pytest.raises(UndefinedModelError):
             envs.evaluate_on_empirical_collapsed_model(pruned, collapse, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("row", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0], [1.0, 0.0]]],
+                             ids=["too-short", "too-long", "per-state-rows"])
+    def test_action_row_of_another_shape_rejected(self, row):
+        _, dataset, collapse = envs.build_counterexample()
+        with pytest.raises(RejectedInputError, match="action_probs has shape"):
+            envs.evaluate_on_empirical_collapsed_model(dataset, collapse, np.array(row))
 
 
 class TestTabularGenerationMatchesChoice:
